@@ -22,7 +22,7 @@
 //! tolerance (see `tests/probe.rs`).
 
 use onoc_photonics::{EnergyParams, WavelengthId};
-use onoc_topology::{OnocArchitecture, Transmission, power_budgets};
+use onoc_topology::{Direction, NodeId, OnocArchitecture, lone_channel_budgets};
 
 use crate::fault::DropFact;
 use crate::probe::{SimProbe, TxFact};
@@ -101,11 +101,8 @@ impl EnergyModel {
     /// per-communication laser sizing with the allocation-dependent
     /// ON-MR crossings replaced by the traffic-free budget.
     ///
-    /// # Panics
-    ///
-    /// Panics on a degenerate architecture (the spectrum engine rejecting
-    /// a single-transmission budget would be a bug in the architecture,
-    /// not a property of the input).
+    /// The losses come from one [`lone_channel_budgets`] walk per source
+    /// and direction, bit-identical to a `power_budgets` call per pair.
     #[must_use]
     pub fn from_architecture(
         arch: &OnocArchitecture,
@@ -115,20 +112,20 @@ impl EnergyModel {
         let laser = arch.laser();
         let extinction = (laser.power_off() - laser.power_on()).to_linear();
         let duty = 0.5 * (1.0 + extinction);
-        let nodes = arch.ring().node_count();
+        let ring = arch.ring();
+        let nodes = ring.node_count();
         let mut total_mw = 0.0;
         let mut pairs = 0usize;
-        for src in 0..nodes {
-            for dst in 0..nodes {
+        for src in (0..nodes).map(NodeId) {
+            let walks =
+                Direction::BOTH.map(|d| lone_channel_budgets(arch, src, d, WavelengthId(0)));
+            for dst in (0..nodes).map(NodeId) {
                 if src == dst {
                     continue;
                 }
-                let path =
-                    arch.route_shortest(onoc_topology::NodeId(src), onoc_topology::NodeId(dst));
-                let tx = Transmission::new(0, path, vec![WavelengthId(0)]);
-                let budgets = power_budgets(arch, std::slice::from_ref(&tx))
-                    .expect("a single transmission always has a valid budget");
-                let loss = budgets[0].total();
+                let direction = ring.shortest_direction(src, dst);
+                let walk = &walks[usize::from(direction == Direction::CounterClockwise)];
+                let loss = walk[ring.hops(src, dst, direction) - 1].total();
                 let launch = arch.detector().required_launch_power(loss);
                 total_mw += (laser.electrical_power(launch.to_milliwatts()) * duty).value();
                 pairs += 1;
@@ -520,6 +517,26 @@ mod tests {
             },
             1.0,
         )
+    }
+
+    /// `EnergyModel::paper(n, λ).laser_mw` bits as the per-pair
+    /// `power_budgets` derivation produced them; the one-walk derivation
+    /// must reproduce them exactly.
+    #[test]
+    fn paper_laser_power_is_bit_identical_to_per_pair_budgets() {
+        for (nodes, wavelengths, bits) in [
+            (16, 8, 0x3f6a_89ae_d6ce_8b0b_u64),
+            (32, 8, 0x3f6c_aa7b_4927_6079),
+            (64, 32, 0x3f7c_0790_0391_ec32),
+            (256, 128, 0x40f1_efcc_b530_6ce1),
+        ] {
+            let laser_mw = EnergyModel::paper(nodes, wavelengths).laser_mw;
+            assert_eq!(
+                laser_mw.to_bits(),
+                bits,
+                "{nodes}n x {wavelengths}wl: {laser_mw}"
+            );
+        }
     }
 
     #[test]

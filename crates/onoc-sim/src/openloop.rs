@@ -291,7 +291,7 @@ enum Event {
     /// nominal lanes; on the fault-free path it always equals the flow's
     /// full mask. `id` stays the first field, so the derived same-cycle
     /// tie-break (by message id) is unchanged.
-    Started((usize, u32, u128)),
+    Started((usize, u32, PackedMask)),
     /// A closed-loop gate retries admission for one source.
     GateWake(usize),
     /// A source offers a message to its injection gate.
@@ -318,8 +318,29 @@ struct CompletedTx {
     id: usize,
     start: u64,
     flow: u32,
-    mask: u128,
+    mask: PackedMask,
 }
+
+/// A `u128` lane mask stored as two `u64` words, high word first so the
+/// derived order is the `u128` order. A `u128` field would force 16-byte
+/// alignment on [`Event`] and pad a queued `(u64, Event)` to 80 bytes;
+/// packed, it takes 56.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct PackedMask([u64; 2]);
+
+impl PackedMask {
+    #[allow(clippy::cast_possible_truncation)]
+    fn new(mask: u128) -> Self {
+        Self([(mask >> 64) as u64, mask as u64])
+    }
+
+    fn get(self) -> u128 {
+        (u128::from(self.0[0]) << 64) | u128::from(self.0[1])
+    }
+}
+
+// A queued event must not fall back to 16-byte alignment.
+const _: () = assert!(std::mem::size_of::<(u64, Event)>() <= 56);
 
 /// Per-message flag bits kept in a compact deque parallel to the message
 /// window (1 byte instead of a full `MsgState` cache line on the
@@ -1409,6 +1430,7 @@ impl<'a, P: SimProbe, T: EngineTap> RunState<'a, P, T> {
                     self.lose_message(id, flow, now);
                 }
                 Event::Started((id, flow, mask)) => {
+                    let mask = mask.get();
                     let (start, end) = {
                         let m = self.msg(id);
                         (m.started, m.completed)
@@ -1696,14 +1718,15 @@ impl<'a, P: SimProbe, T: EngineTap> RunState<'a, P, T> {
             }
             m.attempts += 1;
         }
-        self.s.queue.push(start, Event::Started((id, flow, avail)));
+        let mask = PackedMask::new(avail);
+        self.s.queue.push(start, Event::Started((id, flow, mask)));
         self.s.queue.push(
             end,
             Event::Completed(CompletedTx {
                 id,
                 start,
                 flow,
-                mask: avail,
+                mask,
             }),
         );
     }
@@ -1805,7 +1828,7 @@ impl<'a, P: SimProbe, T: EngineTap> RunState<'a, P, T> {
                 id,
                 start: now,
                 flow,
-                mask,
+                mask: PackedMask::new(mask),
             }),
         );
         // Occupancy first, so the fact carries the mark the start itself
@@ -1876,6 +1899,7 @@ impl<'a, P: SimProbe, T: EngineTap> RunState<'a, P, T> {
             flow,
             mask,
         } = tx;
+        let mask = mask.get();
         let span = now - start;
         let (lo, hi) = (
             self.s.path_offsets[flow as usize] as usize,
@@ -2839,6 +2863,17 @@ mod tests {
             src: NodeId(src),
             dst: NodeId(dst),
             volume: Bits::new(bits),
+        }
+    }
+
+    #[test]
+    fn packed_mask_round_trips_in_u128_order() {
+        let masks = [0, 1, u128::from(u64::MAX), 1 << 64, 1 << 127, u128::MAX];
+        for &a in &masks {
+            assert_eq!(PackedMask::new(a).get(), a);
+            for &b in &masks {
+                assert_eq!(PackedMask::new(a).cmp(&PackedMask::new(b)), a.cmp(&b));
+            }
         }
     }
 

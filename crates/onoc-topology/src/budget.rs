@@ -5,10 +5,10 @@
 //! contributions (Eq. 6 term by term), which is what an architect needs to
 //! see to understand *why* a design point costs what it costs.
 
-use onoc_photonics::{MrState, WavelengthId};
+use onoc_photonics::{MrElement, MrState, WavelengthId};
 use onoc_units::Decibels;
 
-use crate::{NodeId, OnocArchitecture, SpectrumEngine, SpectrumError, Transmission};
+use crate::{Direction, NodeId, OnocArchitecture, SpectrumEngine, SpectrumError, Transmission};
 
 /// The loss of one signal decomposed into physical contributions.
 ///
@@ -89,6 +89,73 @@ pub fn power_budgets(
     Ok(budgets)
 }
 
+/// The budgets of a lone one-channel transmission from `src` travelling
+/// in `direction`, to every destination along the ring, in one walk.
+///
+/// Entry `h - 1` is the budget for the destination `h` hops away, and
+/// equals [`power_budgets`] of `Transmission::new(0, path, vec![channel])`
+/// bit for bit. The walk reads each budget at the arrival node, after the
+/// stack prefix the signal crosses before its own ring, and only then
+/// crosses the rest of that node's stack on its way on. Every component
+/// therefore sees the same additions in the same order as
+/// [`power_budgets`], at `O(n · λ)` per source instead of `O(n² · λ)`
+/// plus a spectrum engine per destination.
+///
+/// With no other traffic, every ring the signal crosses is OFF and its
+/// own drop ring is ON.
+///
+/// # Panics
+///
+/// Panics if `src` is outside the ring or `channel` outside the comb.
+#[must_use]
+pub fn lone_channel_budgets(
+    arch: &OnocArchitecture,
+    src: NodeId,
+    direction: Direction,
+    channel: WavelengthId,
+) -> Vec<PowerBudget> {
+    let geo = arch.geometry();
+    let params = arch.losses();
+    let grid = arch.grid();
+    let nw = grid.count();
+    assert!(
+        channel.index() < nw,
+        "{channel} outside the {nw}-channel comb"
+    );
+    let ring = arch.ring();
+    let farthest = ring.successor(src, direction.reversed());
+    let path = arch.route(src, farthest, direction);
+    let drop = MrElement::new(channel, MrState::On).drop_loss(channel, grid, params);
+    let mut acc = PowerBudget {
+        transmission: 0,
+        channel,
+        propagation: Decibels::ZERO,
+        bending: Decibels::ZERO,
+        off_mr_through: Decibels::ZERO,
+        on_mr_through: Decibels::ZERO,
+        drop: Decibels::ZERO,
+        off_mr_count: 0,
+        on_mr_count: 0,
+    };
+    let cross_off = |acc: &mut PowerBudget, stack: std::ops::Range<usize>| {
+        for c in stack {
+            acc.off_mr_count += 1;
+            acc.off_mr_through +=
+                MrElement::new(WavelengthId(c), MrState::Off).through_loss(channel, grid, params);
+        }
+    };
+    let mut budgets = Vec::with_capacity(path.hops());
+    for segment in path.segments() {
+        acc.propagation +=
+            params.propagation_per_cm * geo.segment_length(segment.index).to_centimeters().value();
+        acc.bending += params.bending_per_90deg * geo.segment_bends(segment.index) as f64;
+        cross_off(&mut acc, 0..channel.index());
+        budgets.push(PowerBudget { drop, ..acc });
+        cross_off(&mut acc, channel.index()..nw);
+    }
+    budgets
+}
+
 fn budget_for(
     arch: &OnocArchitecture,
     engine: &SpectrumEngine<'_>,
@@ -158,7 +225,6 @@ fn budget_for(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Direction;
     use proptest::prelude::*;
 
     fn arch(nw: usize) -> OnocArchitecture {
@@ -263,6 +329,54 @@ mod tests {
         assert!(text.contains("t3") && text.contains("λ2") && text.contains("drop"));
     }
 
+    /// Compares [`lone_channel_budgets`] with [`power_budgets`] of the
+    /// lone transmission at every hop count, bit for bit.
+    fn assert_walk_matches_reference(
+        a: &OnocArchitecture,
+        src: NodeId,
+        direction: Direction,
+        channel: WavelengthId,
+    ) {
+        let n = a.ring().node_count();
+        let walk = lone_channel_budgets(a, src, direction, channel);
+        assert_eq!(walk.len(), n - 1);
+        let bits = |b: &PowerBudget| {
+            [
+                b.propagation,
+                b.bending,
+                b.off_mr_through,
+                b.on_mr_through,
+                b.drop,
+                b.total(),
+            ]
+            .map(|db| db.value().to_bits())
+        };
+        let mut dst = src;
+        for got in &walk {
+            dst = a.ring().successor(dst, direction);
+            let traffic = vec![Transmission::new(
+                0,
+                a.route(src, dst, direction),
+                vec![channel],
+            )];
+            let want = power_budgets(a, &traffic).unwrap().remove(0);
+            // `==` on the floats cannot tell -0.0 from 0.0; the bits can.
+            assert_eq!(bits(got), bits(&want), "{src}->{dst} {direction} {channel}");
+            assert_eq!(*got, want);
+        }
+    }
+
+    #[test]
+    fn lone_channel_walk_covers_every_source_and_direction() {
+        // Channel 0 is the one the energy model sizes lasers on.
+        let a = arch(8);
+        for src in 0..16 {
+            for direction in Direction::BOTH {
+                assert_walk_matches_reference(&a, NodeId(src), direction, ch(&a, 0));
+            }
+        }
+    }
+
     proptest! {
         /// For any pair of distances, the budget decomposition always sums
         /// to the engine's loss (the two walks stay in lockstep).
@@ -281,6 +395,16 @@ mod tests {
             let report = engine.analyze().unwrap().remove(0);
             let budget = power_budgets(&a, &traffic).unwrap().remove(0);
             prop_assert!((report.path_loss.value() - budget.total().value()).abs() < 1e-9);
+        }
+
+        /// The one-walk budgets equal the per-destination reference bit
+        /// for bit, at every hop count in both directions.
+        #[test]
+        fn lone_channel_walk_is_bitwise_power_budgets(src in 0usize..16, chan in 0usize..8) {
+            let a = arch(8);
+            for direction in Direction::BOTH {
+                assert_walk_matches_reference(&a, NodeId(src), direction, ch(&a, chan));
+            }
         }
     }
 }
