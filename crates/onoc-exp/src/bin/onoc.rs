@@ -234,9 +234,9 @@ fn cmd_run(args: &[String]) -> i32 {
         // CLI scale/seed flags override the file (see `load_spec`).
         let mut spec = match load_spec(&path, args, &ctx) {
             Ok(spec) => spec,
-            Err(message) => {
+            Err((code, message)) => {
                 eprintln!("{message}");
-                return 1;
+                return code;
             }
         };
         if let Err(message) = apply_reliability_flags(&mut spec, args) {
@@ -425,15 +425,18 @@ fn apply_reliability_flags(spec: &mut ScenarioSpec, args: &[String]) -> Result<(
 }
 
 /// Parses one spec file (TOML unless the extension says JSON) and applies
-/// the CLI scale/seed overrides.
-fn load_spec(path: &str, args: &[String], ctx: &RunContext) -> Result<ScenarioSpec, String> {
-    let raw = std::fs::read_to_string(path).map_err(|e| format!("could not read {path:?}: {e}"))?;
+/// the CLI scale/seed overrides. Errors carry their exit code: 1 if the
+/// file cannot be read, 2 if its content is not a valid spec (a usage
+/// error, like a bad flag).
+fn load_spec(path: &str, args: &[String], ctx: &RunContext) -> Result<ScenarioSpec, (i32, String)> {
+    let raw =
+        std::fs::read_to_string(path).map_err(|e| (1, format!("could not read {path:?}: {e}")))?;
     let parsed = if path.ends_with(".json") {
         ScenarioSpec::from_json_str(&raw)
     } else {
         ScenarioSpec::from_toml_str(&raw)
     };
-    let mut spec = parsed.map_err(|e| format!("{path}: {e}"))?;
+    let mut spec = parsed.map_err(|e| (2, format!("{path}: {e}")))?;
     // Relative trace paths resolve against the spec file's directory, so
     // a spec + trace pair is a self-contained artifact and corpus runs
     // work from any working directory.
@@ -510,6 +513,7 @@ fn cmd_run_all(
             .map(|s| s.to_string_lossy().into_owned())
             .unwrap_or_else(|| "spec".into());
         let outcome = load_spec(&path_str, args, ctx)
+            .map_err(|(_, message)| message)
             .and_then(|spec| run_spec(&spec, ctx.threads).map_err(|e| format!("{path_str}: {e}")));
         match outcome {
             Ok(report) => {
@@ -564,9 +568,9 @@ fn cmd_serve(args: &[String]) -> i32 {
     };
     let spec = match load_spec(&path, args, &ctx) {
         Ok(spec) => spec,
-        Err(message) => {
+        Err((code, message)) => {
             eprintln!("{message}");
-            return 1;
+            return code;
         }
     };
     let report = match onoc_exp::run_serve(&spec) {

@@ -2130,6 +2130,21 @@ impl ScenarioSpecBuilder {
             AllocatorSpec::Counts { counts } if counts.is_empty() => {
                 return Err(invalid("allocator.counts", "must not be empty"));
             }
+            AllocatorSpec::Nsga2 {
+                population: Some(population),
+                ..
+            } if *population < 4 => {
+                return Err(invalid(
+                    "allocator.population",
+                    "NSGA-II needs a population of at least 4",
+                ));
+            }
+            AllocatorSpec::Nsga2 {
+                generations: Some(0),
+                ..
+            } => {
+                return Err(invalid("allocator.generations", "must be at least 1"));
+            }
             AllocatorSpec::Striped { lanes_per_flow }
                 if *lanes_per_flow == 0 || *lanes_per_flow > self.arch.wavelengths =>
             {
@@ -4114,5 +4129,23 @@ kind = "nsga2"
             .build()
             .unwrap();
         assert_eq!(ScenarioSpec::from_toml_str(&spec.to_toml()).unwrap(), spec);
+    }
+
+    #[test]
+    fn degenerate_ga_settings_are_rejected() {
+        let parse = |overrides: &str| {
+            ScenarioSpec::from_toml_str(&format!(
+                "name = \"ga\"\n[workload]\nkind = \"paper-app\"\n\
+                 [allocator]\nkind = \"nsga2\"\n{overrides}"
+            ))
+        };
+        let err = parse("population = 3\n").unwrap_err();
+        assert!(matches!(err, SpecError::Invalid { field, .. } if field == "allocator.population"));
+        let err = parse("generations = 0\n").unwrap_err();
+        assert!(
+            matches!(err, SpecError::Invalid { field, .. } if field == "allocator.generations")
+        );
+        // The smallest run NSGA-II accepts is a valid spec.
+        assert!(parse("population = 4\ngenerations = 1\n").is_ok());
     }
 }

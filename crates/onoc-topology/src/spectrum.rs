@@ -217,15 +217,44 @@ pub struct SpectrumEngine<'a> {
     arch: &'a OnocArchitecture,
     traffic: &'a [Transmission],
     model: CrosstalkModel,
-    /// `receivers[direction][node][channel]` = index (into `traffic`) of the
-    /// transmission whose receiver MR for `channel` at `node` is ON.
-    receivers: [Vec<Vec<Option<usize>>>; 2],
+    /// `receivers[oni_index(node, direction) · nw + channel]` = index (into
+    /// `traffic`) of the transmission whose receiver MR for `channel` at
+    /// `node` is ON.
+    receivers: Vec<Option<usize>>,
 }
 
-fn dir_index(direction: Direction) -> usize {
+/// Every (transmission, channel) pair walked once from its laser to the
+/// entry of its destination ONI (see [`SpectrumEngine::analyze`]).
+///
+/// Slot `first[t] + j` is channel `j` of transmission `t`. Its entry losses
+/// sit at `entry[start[slot]..]`: the `k`-th value is the loss at the entry
+/// of the node `k + 1` hops downstream, summed in the same order as
+/// `loss_to_node_entry`, so a lookup is bit-identical to a fresh walk.
+struct Walks {
+    first: Vec<usize>,
+    start: Vec<usize>,
+    entry: Vec<Decibels>,
+    /// The first intermediate receiver that drops the slot's signal: its
+    /// hop count from the source and the error a walk past it returns.
+    intercepted: Vec<Option<(usize, SpectrumError)>>,
+}
+
+impl Walks {
+    /// Loss of slot `slot` at the entry of the node `hops` hops downstream,
+    /// or the interception met strictly before that node.
+    fn entry_loss(&self, slot: usize, hops: usize) -> Result<Decibels, SpectrumError> {
+        match &self.intercepted[slot] {
+            Some((at, err)) if *at < hops => Err(err.clone()),
+            _ => Ok(self.entry[self.start[slot] + hops - 1]),
+        }
+    }
+}
+
+/// Dense index of the ONI at `node` on the waveguide of `direction`.
+fn oni_index(nodes: usize, node: NodeId, direction: Direction) -> usize {
     match direction {
-        Direction::Clockwise => 0,
-        Direction::CounterClockwise => 1,
+        Direction::Clockwise => node.0,
+        Direction::CounterClockwise => nodes + node.0,
     }
 }
 
@@ -255,8 +284,7 @@ impl<'a> SpectrumEngine<'a> {
     ) -> Result<Self, SpectrumError> {
         let nodes = arch.ring().node_count();
         let nw = arch.grid().count();
-        let mut receivers: [Vec<Vec<Option<usize>>>; 2] =
-            [vec![vec![None; nw]; nodes], vec![vec![None; nw]; nodes]];
+        let mut receivers: Vec<Option<usize>> = vec![None; 2 * nodes * nw];
         for (idx, t) in traffic.iter().enumerate() {
             if t.channels().is_empty() {
                 return Err(SpectrumError::NoChannels {
@@ -271,8 +299,8 @@ impl<'a> SpectrumEngine<'a> {
                         grid_size: nw,
                     });
                 }
-                let slot =
-                    &mut receivers[dir_index(t.path().direction())][t.path().dst().0][ch.index()];
+                let slot = &mut receivers
+                    [oni_index(nodes, t.path().dst(), t.path().direction()) * nw + ch.index()];
                 if let Some(prev) = *slot {
                     return Err(SpectrumError::ReceiverCollision {
                         first: traffic[prev].id(),
@@ -312,7 +340,8 @@ impl<'a> SpectrumEngine<'a> {
         direction: Direction,
         channel: WavelengthId,
     ) -> Option<usize> {
-        self.receivers[dir_index(direction)][node.0][channel.index()]
+        let oni = oni_index(self.arch.ring().node_count(), node, direction);
+        self.receivers[oni * self.arch.grid().count() + channel.index()]
     }
 
     /// The MR element (channel + ON/OFF state) at stack position `channel`
@@ -409,7 +438,71 @@ impl<'a> SpectrumEngine<'a> {
         );
     }
 
+    /// Walks every (transmission, channel) pair once, recording its loss at
+    /// the entry of each node it reaches and its first interception.
+    fn walk_all(&self) -> Walks {
+        let nw = self.arch.grid().count();
+        let nodes = self.arch.ring().node_count();
+        // A signal whose MR at a node is OFF sees that node's MR states as
+        // the same sequence of through losses whatever its channel, so the
+        // full-stack loss is one value per (node, direction).
+        let mut off_stack: Vec<Option<Decibels>> = vec![None; 2 * nodes];
+        let slots: usize = self.traffic.iter().map(|t| t.channels().len()).sum();
+        let mut walks = Walks {
+            first: Vec::with_capacity(self.traffic.len()),
+            start: Vec::with_capacity(slots),
+            entry: Vec::new(),
+            intercepted: Vec::with_capacity(slots),
+        };
+        for (t_idx, t) in self.traffic.iter().enumerate() {
+            let path = t.path();
+            let direction = path.direction();
+            let hops = path.hops();
+            let segments: Vec<(Decibels, NodeId)> = path
+                .segments()
+                .zip(path.nodes().skip(1))
+                .map(|(segment, arrival)| (self.segment_loss(segment.index), arrival))
+                .collect();
+            walks.first.push(walks.start.len());
+            for &ch in t.channels() {
+                walks.start.push(walks.entry.len());
+                let mut loss = Decibels::ZERO;
+                let mut intercepted = None;
+                for (k, &(segment, arrival)) in segments.iter().enumerate() {
+                    loss += segment;
+                    walks.entry.push(loss);
+                    if k + 1 == hops {
+                        break;
+                    }
+                    let stack = if self.receiver_at(arrival, direction, ch).is_some() {
+                        self.stack_through_loss(arrival, direction, ch, nw, t_idx)
+                    } else {
+                        let cached = &mut off_stack[oni_index(nodes, arrival, direction)];
+                        Ok(*cached.get_or_insert_with(|| {
+                            self.stack_through_loss(arrival, direction, ch, nw, t_idx)
+                                .expect("an OFF receiver cannot intercept")
+                        }))
+                    };
+                    match stack {
+                        Ok(stack) => loss += stack,
+                        Err(err) => {
+                            intercepted = Some((k + 1, err));
+                            break;
+                        }
+                    }
+                }
+                walks.intercepted.push(intercepted);
+            }
+        }
+        walks
+    }
+
     /// Evaluates one receiver: transmission index `t_idx`, channel `channel`.
+    ///
+    /// Walks the signal and every interferer from its laser; [`analyze`]
+    /// reads the same losses from one shared walk instead.
+    ///
+    /// [`analyze`]: SpectrumEngine::analyze
     ///
     /// # Errors
     ///
@@ -420,6 +513,19 @@ impl<'a> SpectrumEngine<'a> {
         t_idx: usize,
         channel: WavelengthId,
     ) -> Result<ReceiverReport, SpectrumError> {
+        self.receiver_report(t_idx, channel, |o_idx, ch, until| {
+            self.loss_to_node_entry(o_idx, ch, until)
+        })
+    }
+
+    /// One receiver's report, with `entry_loss(o_idx, channel, node)` giving
+    /// the loss of a (transmission, channel) pair at the entry of `node`.
+    fn receiver_report(
+        &self,
+        t_idx: usize,
+        channel: WavelengthId,
+        entry_loss: impl Fn(usize, WavelengthId, NodeId) -> Result<Decibels, SpectrumError>,
+    ) -> Result<ReceiverReport, SpectrumError> {
         let t = &self.traffic[t_idx];
         let grid = self.arch.grid();
         let params = self.arch.losses();
@@ -427,7 +533,7 @@ impl<'a> SpectrumEngine<'a> {
         let direction = t.path().direction();
 
         // --- Signal walk (Eq. 6) --------------------------------------------
-        let mut loss = self.loss_to_node_entry(t_idx, channel, dst)?;
+        let mut loss = entry_loss(t_idx, channel, dst)?;
         // Prefix of the destination stack, then the intended drop.
         loss += self.stack_through_loss(dst, direction, channel, channel.index(), t_idx)?;
         loss += self
@@ -447,7 +553,7 @@ impl<'a> SpectrumEngine<'a> {
                 if o_idx == t_idx && ch == channel {
                     continue;
                 }
-                let mut o_loss = self.loss_to_node_entry(o_idx, ch, dst)?;
+                let mut o_loss = entry_loss(o_idx, ch, dst)?;
                 if self.model == CrosstalkModel::Elementwise {
                     // Continue through the victim ONI's stack up to the
                     // victim MR (this applies Kp1 if `ch` was dropped at an
@@ -476,16 +582,33 @@ impl<'a> SpectrumEngine<'a> {
 
     /// Evaluates every receiver of every transmission.
     ///
-    /// Reports are ordered by traffic position, then channel.
+    /// Reports are ordered by traffic position, then channel. Each
+    /// (transmission, channel) pair is walked once; every receiver then
+    /// reads its signal and interferer losses from that walk. The result,
+    /// errors included, equals calling [`analyze_receiver`] on every
+    /// receiver in order.
+    ///
+    /// [`analyze_receiver`]: SpectrumEngine::analyze_receiver
     ///
     /// # Errors
     ///
     /// Returns the first [`SpectrumError`] encountered.
     pub fn analyze(&self) -> Result<Vec<ReceiverReport>, SpectrumError> {
+        let walks = self.walk_all();
+        let ring = self.arch.ring();
+        let entry_loss = |o_idx: usize, ch: WavelengthId, until: NodeId| {
+            let path = self.traffic[o_idx].path();
+            let slot = walks.first[o_idx]
+                + self.traffic[o_idx]
+                    .channels()
+                    .binary_search(&ch)
+                    .expect("walked channels belong to their transmission");
+            walks.entry_loss(slot, ring.hops(path.src(), until, path.direction()))
+        };
         let mut reports = Vec::new();
         for (t_idx, t) in self.traffic.iter().enumerate() {
             for &ch in t.channels() {
-                reports.push(self.analyze_receiver(t_idx, ch)?);
+                reports.push(self.receiver_report(t_idx, ch, entry_loss)?);
             }
         }
         Ok(reports)
@@ -793,6 +916,127 @@ mod tests {
                 (-4.2..=-2.5).contains(&log_ber),
                 "log BER {log_ber} outside the plausible paper window"
             );
+        }
+    }
+
+    /// Every field of a report, floating-point values by their bits.
+    fn report_bits(r: &ReceiverReport) -> (usize, WavelengthId, [u64; 4], usize) {
+        (
+            r.transmission,
+            r.channel,
+            [
+                r.signal.value().to_bits(),
+                r.crosstalk.value().to_bits(),
+                r.noise.value().to_bits(),
+                r.path_loss.value().to_bits(),
+            ],
+            r.interferers,
+        )
+    }
+
+    /// `analyze()` against `analyze_receiver` called on every receiver in
+    /// order: equal reports bit for bit, or the same first error.
+    fn assert_walk_once_matches_per_receiver(engine: &SpectrumEngine<'_>) {
+        let per_receiver: Result<Vec<ReceiverReport>, SpectrumError> = engine
+            .traffic()
+            .iter()
+            .enumerate()
+            .flat_map(|(t_idx, t)| {
+                t.channels()
+                    .iter()
+                    .map(move |&ch| engine.analyze_receiver(t_idx, ch))
+            })
+            .collect();
+        match (engine.analyze(), per_receiver) {
+            (Ok(fast), Ok(reference)) => {
+                let fast: Vec<_> = fast.iter().map(report_bits).collect();
+                let reference: Vec<_> = reference.iter().map(report_bits).collect();
+                assert_eq!(fast, reference);
+            }
+            (fast, reference) => assert_eq!(fast.err(), reference.err()),
+        }
+    }
+
+    #[test]
+    fn walk_once_reports_the_first_interception() {
+        let a = arch(8);
+        let cw = |id, src, dst, channels: &[usize]| {
+            Transmission::new(
+                id,
+                a.route(NodeId(src), NodeId(dst), Direction::Clockwise),
+                channels.iter().map(|&w| ch(&a, w)).collect(),
+            )
+        };
+        let dropped = |transmission, channel, at, intercepted_by| {
+            Err(SpectrumError::ChannelDroppedEnRoute {
+                transmission,
+                channel: WavelengthId(channel),
+                at: NodeId(at),
+                intercepted_by,
+            })
+        };
+        // The first receiver (0's λ1 at node 3) is clean, but its
+        // interferer 1 loses λ0 at node 2 on the way there.
+        let in_crosstalk = vec![cw(0, 0, 3, &[1]), cw(1, 0, 5, &[0]), cw(2, 1, 2, &[0])];
+        // 1's λ1 reaches node 3 intact, then 2 receives it there: the
+        // elementwise model meets that inside node 3's stack while scoring
+        // 0's λ2; the paper model only on 1's own signal walk.
+        let in_victim_stack = vec![cw(0, 0, 3, &[2]), cw(1, 0, 5, &[1]), cw(2, 2, 3, &[1])];
+        for model in [CrosstalkModel::PaperFirstOrder, CrosstalkModel::Elementwise] {
+            for (traffic, expected) in [
+                (&in_crosstalk, dropped(1, 0, 2, 2)),
+                (&in_victim_stack, dropped(1, 1, 3, 2)),
+            ] {
+                let engine = SpectrumEngine::with_model(&a, traffic, model).unwrap();
+                assert_eq!(engine.analyze(), expected, "{model}");
+                assert_walk_once_matches_per_receiver(&engine);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// On the paper architecture at NW ∈ {4, 8, 12}, under both
+        /// crosstalk models, random traffic (valid or intercepted en
+        /// route) analyses identically through the shared walk and
+        /// through the per-receiver walk. `disjoint` deals each channel
+        /// to one transmission at most, which rules out interception and
+        /// so keeps plenty of valid cases.
+        #[test]
+        fn walk_once_matches_per_receiver_walk(
+            raw in proptest::collection::vec(proptest::collection::vec(0usize..4096, 4), 1..7),
+            nw_pick in 0usize..3,
+            elementwise in proptest::prelude::any::<bool>(),
+            disjoint in proptest::prelude::any::<bool>(),
+        ) {
+            let nw = [4, 8, 12][nw_pick];
+            let a = arch(nw);
+            let nodes = a.ring().node_count();
+            let traffic: Vec<Transmission> = raw
+                .iter()
+                .enumerate()
+                .map(|(id, r)| {
+                    let src = r[0] % nodes;
+                    let dst = (src + 1 + r[1] % (nodes - 1)) % nodes;
+                    let direction = if r[2] % 2 == 0 {
+                        Direction::Clockwise
+                    } else {
+                        Direction::CounterClockwise
+                    };
+                    let channels = (0..nw)
+                        .filter(|w| (r[3] >> w) & 1 == 1 && (!disjoint || w % raw.len() == id))
+                        .map(|w| ch(&a, w))
+                        .collect();
+                    Transmission::new(id, a.route(NodeId(src), NodeId(dst), direction), channels)
+                })
+                .collect();
+            let model = if elementwise {
+                CrosstalkModel::Elementwise
+            } else {
+                CrosstalkModel::PaperFirstOrder
+            };
+            let engine = SpectrumEngine::with_model(&a, &traffic, model);
+            proptest::prop_assume!(engine.is_ok());
+            assert_walk_once_matches_per_receiver(&engine.unwrap());
         }
     }
 }

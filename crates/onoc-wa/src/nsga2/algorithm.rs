@@ -1,5 +1,7 @@
 //! The NSGA-II generational loop.
 
+use std::collections::{HashMap, HashSet};
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -184,6 +186,11 @@ impl<'e, 'i> Nsga2<'e, 'i> {
         let mut rng = StdRng::seed_from_u64(self.config.seed);
         let mut stats = Nsga2Stats::default();
         let mut archive = Archive::new(self.config.track_archive, self.config.objectives);
+        // Scores of the current parents and of the offspring scored so far
+        // this generation; rebuilt from the survivors after every
+        // selection, so it never holds more than two populations.
+        let mut memo: HashMap<GeneKey, Option<Objectives>> =
+            HashMap::with_capacity(2 * self.config.population_size);
 
         // Initial population: sparse random chromosomes. A per-gene density
         // of ~2/NW keeps a healthy share of §III-D-valid individuals at
@@ -193,14 +200,26 @@ impl<'e, 'i> Nsga2<'e, 'i> {
         let mut population: Vec<Individual> = Vec::with_capacity(self.config.population_size);
         if self.config.seed_with_heuristics {
             if let Ok(seeded) = crate::heuristics::first_fit(instance) {
-                population.push(self.score(seeded, &mut stats, &mut archive, &mut on_eval));
+                population.push(self.score(
+                    seeded,
+                    &mut memo,
+                    &mut stats,
+                    &mut archive,
+                    &mut on_eval,
+                ));
             }
         }
         while population.len() < self.config.population_size {
             let genes: Vec<bool> = (0..genes).map(|_| rng.random_bool(density)).collect();
             let allocation =
                 Allocation::from_genes(genes, nw).expect("generated genes are aligned");
-            population.push(self.score(allocation, &mut stats, &mut archive, &mut on_eval));
+            population.push(self.score(
+                allocation,
+                &mut memo,
+                &mut stats,
+                &mut archive,
+                &mut on_eval,
+            ));
         }
         let mut fitness = self.rank_population(&population);
 
@@ -217,9 +236,15 @@ impl<'e, 'i> Nsga2<'e, 'i> {
                 };
                 bitflip_mutation(&mut rng, &mut ca, pm);
                 bitflip_mutation(&mut rng, &mut cb, pm);
-                offspring.push(self.score(ca, &mut stats, &mut archive, &mut on_eval));
+                offspring.push(self.score(ca, &mut memo, &mut stats, &mut archive, &mut on_eval));
                 if offspring.len() < self.config.population_size {
-                    offspring.push(self.score(cb, &mut stats, &mut archive, &mut on_eval));
+                    offspring.push(self.score(
+                        cb,
+                        &mut memo,
+                        &mut stats,
+                        &mut archive,
+                        &mut on_eval,
+                    ));
                 }
             }
 
@@ -227,6 +252,12 @@ impl<'e, 'i> Nsga2<'e, 'i> {
             let mut combined = population;
             combined.extend(offspring);
             (population, fitness) = self.select(combined);
+            memo.clear();
+            memo.extend(
+                population
+                    .iter()
+                    .map(|ind| (GeneKey::new(&ind.allocation), ind.objectives)),
+            );
 
             stats.generations = generation + 1;
             if self.config.track_archive {
@@ -250,18 +281,30 @@ impl<'e, 'i> Nsga2<'e, 'i> {
         }
     }
 
+    /// Scores one chromosome. A chromosome already in `memo` reuses its
+    /// score (evaluation is deterministic); it still counts as an
+    /// evaluation and reaches the archive and `on_eval` like a fresh one.
     fn score(
         &self,
         allocation: Allocation,
+        memo: &mut HashMap<GeneKey, Option<Objectives>>,
         stats: &mut Nsga2Stats,
         archive: &mut Archive,
         on_eval: &mut impl FnMut(&Allocation, Option<&Objectives>),
     ) -> Individual {
-        let objectives = self.evaluator.evaluate(&allocation);
+        let key = GeneKey::new(&allocation);
+        let objectives = match memo.get(&key) {
+            Some(&known) => known,
+            None => {
+                let fresh = self.evaluator.evaluate(&allocation);
+                memo.insert(key.clone(), fresh);
+                fresh
+            }
+        };
         stats.evaluations += 1;
         if let Some(o) = objectives {
             stats.valid_evaluations += 1;
-            archive.record(&allocation, o);
+            archive.record(key, &allocation, o);
         }
         on_eval(&allocation, objectives.as_ref());
         Individual {
@@ -318,7 +361,7 @@ impl<'e, 'i> Nsga2<'e, 'i> {
                 .then_with(|| a.cmp(&b)) // determinism
         });
         order.truncate(n);
-        let keep: std::collections::HashSet<usize> = order.iter().copied().collect();
+        let keep: HashSet<usize> = order.iter().copied().collect();
         let mut survivors = Vec::with_capacity(n);
         let mut survivor_fitness = Vec::with_capacity(n);
         for (i, ind) in combined.into_iter().enumerate() {
@@ -346,13 +389,38 @@ impl<'e, 'i> Nsga2<'e, 'i> {
     }
 }
 
+/// A chromosome packed 64 genes to a word. Up to 128 genes (the paper's
+/// 6 × 12 = 72) stay inline; every chromosome of one run has the same
+/// length, so the two forms never meet.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+enum GeneKey {
+    Short([u64; 2]),
+    Long(Box<[u64]>),
+}
+
+impl GeneKey {
+    fn new(allocation: &Allocation) -> Self {
+        let mut words = allocation.genes().chunks(64).map(|chunk| {
+            chunk
+                .iter()
+                .enumerate()
+                .fold(0u64, |word, (i, &gene)| word | (u64::from(gene) << i))
+        });
+        if allocation.genes().len() <= 128 {
+            GeneKey::Short([words.next().unwrap_or(0), words.next().unwrap_or(0)])
+        } else {
+            GeneKey::Long(words.collect())
+        }
+    }
+}
+
 /// Running archive of valid solutions (distinct chromosomes) and their
 /// non-dominated front.
 #[derive(Debug)]
 struct Archive {
     enabled: bool,
     set: ObjectiveSet,
-    seen: std::collections::HashSet<Vec<bool>>,
+    seen: HashSet<GeneKey>,
     front: ParetoFront,
 }
 
@@ -361,16 +429,16 @@ impl Archive {
         Self {
             enabled,
             set,
-            seen: std::collections::HashSet::new(),
+            seen: HashSet::new(),
             front: ParetoFront::default(),
         }
     }
 
-    fn record(&mut self, allocation: &Allocation, objectives: Objectives) {
+    fn record(&mut self, key: GeneKey, allocation: &Allocation, objectives: Objectives) {
         if !self.enabled {
             return;
         }
-        if !self.seen.insert(allocation.genes().to_vec()) {
+        if !self.seen.insert(key) {
             return;
         }
         let _ = self.front.insert(FrontPoint {
@@ -521,5 +589,199 @@ mod tests {
                 ..Nsga2Config::default()
             },
         );
+    }
+
+    /// FNV-1a over 64-bit words: a compact fingerprint of a run.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    struct Fingerprint(u64);
+
+    impl Fingerprint {
+        fn new() -> Self {
+            Self(0xCBF2_9CE4_8422_2325)
+        }
+
+        fn word(&mut self, w: u64) {
+            for b in w.to_le_bytes() {
+                self.0 ^= u64::from(b);
+                self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
+            }
+        }
+
+        fn genes(&mut self, allocation: &Allocation) {
+            self.word(allocation.genes().len() as u64);
+            for chunk in allocation.genes().chunks(64) {
+                self.word(
+                    chunk
+                        .iter()
+                        .enumerate()
+                        .fold(0, |w, (i, &g)| w | (u64::from(g) << i)),
+                );
+            }
+        }
+
+        fn objectives(&mut self, objectives: Option<&Objectives>) {
+            match objectives {
+                None => self.word(u64::MAX),
+                Some(o) => {
+                    self.word(o.exec_time.value().to_bits());
+                    self.word(o.bit_energy.value().to_bits());
+                    self.word(o.avg_log_ber.to_bits());
+                }
+            }
+        }
+    }
+
+    /// Runs NSGA-II and fingerprints the front (values by `to_bits`), the
+    /// final population and the `on_eval` sequence; also returns the
+    /// stats and the number of `on_eval` calls.
+    fn run_fingerprint(
+        nw: usize,
+        set: ObjectiveSet,
+        track_archive: bool,
+    ) -> (Nsga2Stats, usize, [u64; 3]) {
+        let instance = ProblemInstance::paper_with_wavelengths(nw);
+        let ev = instance.evaluator();
+        let config = Nsga2Config {
+            population_size: 40,
+            generations: 25,
+            objectives: set,
+            seed: 2017,
+            track_archive,
+            ..Nsga2Config::default()
+        };
+        let mut evals = Fingerprint::new();
+        let mut calls = 0usize;
+        let outcome = Nsga2::new(&ev, config).run_with_observers(
+            |_, _| {},
+            |allocation, objectives| {
+                calls += 1;
+                evals.genes(allocation);
+                evals.objectives(objectives);
+            },
+        );
+        let mut front = Fingerprint::new();
+        for p in outcome.front.points() {
+            front.genes(&p.allocation);
+            front.objectives(Some(&p.objectives));
+            for v in &p.values {
+                front.word(v.to_bits());
+            }
+        }
+        let mut population = Fingerprint::new();
+        for ind in &outcome.final_population {
+            population.genes(&ind.allocation);
+            population.objectives(ind.objectives.as_ref());
+        }
+        (outcome.stats, calls, [front.0, population.0, evals.0])
+    }
+
+    /// Captured before the generation memo, the packed archive keys and
+    /// the grouped sort existed: (NW, objectives, archive, valid and
+    /// unique-valid evaluations, [front, final population, `on_eval`
+    /// sequence] fingerprints). 24λ gives 144 genes, past the inline key.
+    const GOLDEN: [(usize, ObjectiveSet, bool, usize, usize, [u64; 3]); 7] = [
+        (
+            4,
+            ObjectiveSet::TimeEnergy,
+            true,
+            477,
+            277,
+            [
+                0x347f_074f_05e6_ecd4,
+                0x36c4_2147_2f85_9952,
+                0xda8a_d7e0_6995_b474,
+            ],
+        ),
+        (
+            4,
+            ObjectiveSet::TimeEnergy,
+            false,
+            477,
+            0,
+            [
+                0x347f_074f_05e6_ecd4,
+                0x36c4_2147_2f85_9952,
+                0xda8a_d7e0_6995_b474,
+            ],
+        ),
+        (
+            8,
+            ObjectiveSet::TimeBer,
+            true,
+            667,
+            547,
+            [
+                0x6986_1d29_3777_de1c,
+                0xf007_5a22_3fae_1115,
+                0x71d3_47b6_c89a_5a8e,
+            ],
+        ),
+        (
+            8,
+            ObjectiveSet::TimeBer,
+            false,
+            667,
+            0,
+            [
+                0x6986_1d29_3777_de1c,
+                0xf007_5a22_3fae_1115,
+                0x71d3_47b6_c89a_5a8e,
+            ],
+        ),
+        (
+            12,
+            ObjectiveSet::TimeEnergyBer,
+            true,
+            748,
+            663,
+            [
+                0x222f_0182_4f67_1c5d,
+                0xcd75_bcc9_057a_e04b,
+                0xd494_43d1_ef31_b8a5,
+            ],
+        ),
+        (
+            12,
+            ObjectiveSet::TimeEnergyBer,
+            false,
+            748,
+            0,
+            [
+                0x8705_c1c0_27ef_79b3,
+                0xcd75_bcc9_057a_e04b,
+                0xd494_43d1_ef31_b8a5,
+            ],
+        ),
+        (
+            24,
+            ObjectiveSet::TimeEnergy,
+            true,
+            802,
+            699,
+            [
+                0xd168_e876_2347_bc3f,
+                0xd0e3_df27_8d8d_391a,
+                0xc027_6047_6a49_3e73,
+            ],
+        ),
+    ];
+
+    #[test]
+    fn memo_reproduces_pre_memo_runs() {
+        for (nw, set, track, valid, unique, fingerprint) in GOLDEN {
+            let stats = Nsga2Stats {
+                evaluations: 40 * 26,
+                valid_evaluations: valid,
+                unique_valid: unique,
+                generations: 25,
+            };
+            let got = run_fingerprint(nw, set, track);
+            // `on_eval` fires once per counted evaluation.
+            assert_eq!(
+                got,
+                (stats, stats.evaluations, fingerprint),
+                "{nw}λ {set} archive={track}"
+            );
+        }
     }
 }
