@@ -12,7 +12,9 @@
 //! [`onoc_exp::run_spec`]; all experiment logic lives in the library.
 
 use onoc_exp::scenario::sweep_table;
-use onoc_exp::{Registry, Report, RunContext, Scale, ScenarioSpec, bench, run_spec};
+use onoc_exp::{
+    Registry, Report, RunContext, Scale, ScenarioSpec, SpecError, Value, bench, run_spec,
+};
 use onoc_sim::DynamicPolicy;
 use onoc_topology::NodeId;
 use onoc_traffic::{OnOffConfig, SweepGrid, TrafficPattern, TrafficTrace, run_sweep};
@@ -59,25 +61,27 @@ OPTIONS (serve only):
 OPTIONS (run --spec only):
     --capture-trace <f>   also dump the run's message stream as a
                           cycle,src,dst,size CSV (synthetic/trace workloads)
+  Overrides: each one edits the spec document before it is validated, so
+  it is checked exactly like the key it sets (a bad value exits 2):
     --export-chrome-trace <f>
-                          export every transmission as a Chrome trace-event
-                          JSON (load in Perfetto / chrome://tracing); implies
-                          [telemetry] with its defaults when the spec has none
-    --fault-ber <x>       inject a uniform per-message corruption BER
-                          (overrides the spec's [faults] ber)
-    --fault-seed <n>      fault-process RNG seed         [default: spec seed]
-    --transport <m>       none | gbn | pfc — recovery mode layered over the
-                          injection policy (overrides the spec's [transport])
-    --heal-policy <p>     park | re-pack-strict | re-pack-relaxed — self-healing
-                          re-allocation on lane failure (overrides the spec's
-                          [healing]; re-pack needs a static allocator)
-    --workers <n>         intra-run PDES worker threads (overrides the spec's
-                          [engine] workers; results are bit-identical to serial)
+                          sets telemetry.chrome_trace: export every
+                          transmission as a Chrome trace-event JSON (load
+                          in Perfetto / chrome://tracing)
+    --fault-ber <x>       sets faults.ber (and drops faults.ber_model): a
+                          uniform per-message corruption BER
+    --fault-seed <n>      sets faults.seed: the fault-process RNG seed
+    --transport <m>       none | gbn | pfc — replaces the [transport] table
+                          (none removes it)
+    --heal-policy <p>     sets healing.policy: park | re-pack-strict |
+                          re-pack-relaxed (re-pack needs a static allocator)
+    --workers <n>         sets engine.workers: intra-run PDES worker threads
+                          (results are bit-identical to serial)
 
 OPTIONS (run, sweep):
     --quick               reduced GA/horizon configuration (scale = quick)
     --scale <s>           paper | quick | smoke          [default: paper]
     --seed <n>            master seed                    [default: 2017]
+                          (with --spec, these three set the spec's keys)
     --threads <n>         sweep worker threads           [default: cores, clamped 2..8]
     --json                emit the report as JSON instead of text
     --out <dir>           artifact directory for --all   [default: the spec directory]
@@ -209,15 +213,7 @@ fn cmd_run(args: &[String]) -> i32 {
     };
     let json = flag(args, "--json");
 
-    for only_spec in [
-        "--capture-trace",
-        "--export-chrome-trace",
-        "--fault-ber",
-        "--fault-seed",
-        "--transport",
-        "--heal-policy",
-        "--workers",
-    ] {
+    for only_spec in SPEC_FLAGS {
         if value_of(args, only_spec).is_some()
             && (value_of(args, "--spec").is_none() || value_of(args, "--all").is_some())
         {
@@ -231,49 +227,14 @@ fn cmd_run(args: &[String]) -> i32 {
     }
 
     if let Some(path) = value_of(args, "--spec") {
-        // CLI scale/seed flags override the file (see `load_spec`).
-        let mut spec = match load_spec(&path, args, &ctx) {
+        // CLI override flags edit the file's document (see `load_spec`).
+        let spec = match load_spec(&path, args, &ctx) {
             Ok(spec) => spec,
             Err((code, message)) => {
                 eprintln!("{message}");
                 return code;
             }
         };
-        if let Err(message) = apply_reliability_flags(&mut spec, args) {
-            eprintln!("{message}");
-            return 2;
-        }
-        if let Some(raw) = value_of(args, "--workers") {
-            let Ok(workers) = raw.parse::<usize>() else {
-                eprintln!("--workers needs a positive integer, got {raw:?}");
-                return 2;
-            };
-            if workers == 0 {
-                eprintln!("--workers needs at least 1 worker");
-                return 2;
-            }
-            // The flag rides on the spec's own [engine] table when it
-            // has one, and implies the defaults when it does not.
-            let mut engine = spec.engine.clone().unwrap_or_default();
-            engine.workers = Some(workers);
-            spec.engine = Some(engine);
-        }
-        if let Some(trace_path) = value_of(args, "--export-chrome-trace") {
-            if !matches!(
-                spec.workload,
-                onoc_exp::WorkloadSpec::Synthetic { .. } | onoc_exp::WorkloadSpec::Trace { .. }
-            ) {
-                eprintln!(
-                    "--export-chrome-trace needs a message-stream (synthetic or trace) workload"
-                );
-                return 2;
-            }
-            // The flag rides on the spec's own [telemetry] table when it
-            // has one, and implies the defaults when it does not.
-            let mut telemetry = spec.telemetry.clone().unwrap_or_default();
-            telemetry.chrome_trace = Some(trace_path);
-            spec.telemetry = Some(telemetry);
-        }
         if let Some(capture_path) = value_of(args, "--capture-trace") {
             match onoc_exp::capture_trace(&spec) {
                 Ok(csv) => {
@@ -307,22 +268,9 @@ fn cmd_run(args: &[String]) -> i32 {
         .filter(|&(i, a)| {
             !a.starts_with("--")
                 && (i == 0
-                    || !matches!(
-                        args[i - 1].as_str(),
-                        "--scale"
-                            | "--seed"
-                            | "--threads"
-                            | "--spec"
-                            | "--all"
-                            | "--out"
-                            | "--capture-trace"
-                            | "--export-chrome-trace"
-                            | "--fault-ber"
-                            | "--fault-seed"
-                            | "--transport"
-                            | "--heal-policy"
-                            | "--workers"
-                    ))
+                    || !(["--scale", "--seed", "--threads", "--spec", "--all", "--out"]
+                        .contains(&args[i - 1].as_str())
+                        || SPEC_FLAGS.contains(&args[i - 1].as_str())))
         })
         .map(|(_, a)| a)
         .collect();
@@ -343,100 +291,34 @@ fn cmd_run(args: &[String]) -> i32 {
     0
 }
 
-/// Applies the `--fault-ber`/`--fault-seed`/`--transport`/`--heal-policy`
-/// overrides onto a loaded spec (the CLI fast path for "rerun this
-/// scenario under faults" without editing the file). Ranges are checked
-/// here because the overrides land after the spec's own validation pass.
-fn apply_reliability_flags(spec: &mut ScenarioSpec, args: &[String]) -> Result<(), String> {
-    let requested = [
-        "--fault-ber",
-        "--fault-seed",
-        "--transport",
-        "--heal-policy",
-    ]
-    .iter()
-    .any(|name| value_of(args, name).is_some());
-    if requested
-        && !matches!(
-            spec.workload,
-            onoc_exp::WorkloadSpec::Synthetic { .. }
-                | onoc_exp::WorkloadSpec::Trace { .. }
-                | onoc_exp::WorkloadSpec::Sweep { .. }
-        )
-    {
-        return Err(
-            "fault/transport overrides apply to message-stream workloads \
-             (synthetic, trace or sweep specs)"
-                .into(),
-        );
-    }
-    if let Some(ber) = parsed_value::<f64>(args, "--fault-ber")? {
-        if !(ber.is_finite() && (0.0..1.0).contains(&ber)) {
-            return Err(format!("--fault-ber must be in [0, 1), got {ber}"));
-        }
-        let mut faults = spec.faults.clone().unwrap_or_default();
-        faults.ber = Some(ber);
-        faults.ber_model = None;
-        spec.faults = Some(faults);
-    }
-    if let Some(seed) = parsed_value::<u64>(args, "--fault-seed")? {
-        let mut faults = spec.faults.clone().unwrap_or_default();
-        faults.seed = Some(seed);
-        spec.faults = Some(faults);
-    }
-    if let Some(mode) = value_of(args, "--transport") {
-        spec.transport = match mode.as_str() {
-            "none" => None,
-            "gbn" => Some(onoc_exp::TransportSpec::GoBackN {
-                window: None,
-                nack_delay: None,
-                timeout: None,
-                max_retries: None,
-            }),
-            "pfc" => Some(onoc_exp::TransportSpec::Pfc {
-                dst_window: None,
-                max_retries: None,
-            }),
-            other => return Err(format!("unknown transport {other:?} (none | gbn | pfc)")),
-        };
-    }
-    if let Some(policy) = value_of(args, "--heal-policy") {
-        if onoc_sim::HealPolicy::parse(&policy).is_none() {
-            return Err(format!(
-                "unknown heal policy {policy:?} (park | re-pack-strict | re-pack-relaxed)"
-            ));
-        }
-        let mut healing = spec.healing.clone().unwrap_or_default();
-        healing.policy = Some(policy);
-        if healing.policy() != onoc_sim::HealPolicy::Park
-            && !matches!(
-                spec.allocator,
-                onoc_exp::AllocatorSpec::Striped { .. }
-                    | onoc_exp::AllocatorSpec::FlowSynthesis { .. }
-            )
-        {
-            return Err("re-pack heal policies re-synthesise a static flow map \
-                 (use a striped or flow-synthesis allocator)"
-                .into());
-        }
-        spec.healing = Some(healing);
-    }
-    Ok(())
-}
+/// Flags of `onoc run --spec <file>` alone. All but `--capture-trace`
+/// are overrides: edits to the spec document (see [`apply_overrides`]).
+const SPEC_FLAGS: [&str; 7] = [
+    "--capture-trace",
+    "--export-chrome-trace",
+    "--fault-ber",
+    "--fault-seed",
+    "--transport",
+    "--heal-policy",
+    "--workers",
+];
 
-/// Parses one spec file (TOML unless the extension says JSON) and applies
-/// the CLI scale/seed overrides. Errors carry their exit code: 1 if the
-/// file cannot be read, 2 if its content is not a valid spec (a usage
-/// error, like a bad flag).
+/// Parses one spec file (TOML unless the extension says JSON), applies
+/// the CLI overrides to its document, and builds the spec, so every
+/// override is checked exactly like the key it sets. Errors carry their
+/// exit code: 1 if the file cannot be read, 2 if its content or an
+/// override is not valid (a usage error, like a bad flag).
 fn load_spec(path: &str, args: &[String], ctx: &RunContext) -> Result<ScenarioSpec, (i32, String)> {
     let raw =
         std::fs::read_to_string(path).map_err(|e| (1, format!("could not read {path:?}: {e}")))?;
     let parsed = if path.ends_with(".json") {
-        ScenarioSpec::from_json_str(&raw)
+        Value::parse_json(&raw)
     } else {
-        ScenarioSpec::from_toml_str(&raw)
+        Value::parse_toml(&raw)
     };
-    let mut spec = parsed.map_err(|e| (2, format!("{path}: {e}")))?;
+    let mut doc = parsed.map_err(|e| (2, format!("{path}: {}", SpecError::Parse(e))))?;
+    apply_overrides(&mut doc, args, ctx).map_err(|message| (2, message))?;
+    let mut spec = ScenarioSpec::from_value(&doc).map_err(|e| (2, format!("{path}: {e}")))?;
     // Relative trace paths resolve against the spec file's directory, so
     // a spec + trace pair is a self-contained artifact and corpus runs
     // work from any working directory.
@@ -448,13 +330,85 @@ fn load_spec(path: &str, args: &[String], ctx: &RunContext) -> Result<ScenarioSp
             }
         }
     }
-    if flag(args, "--quick") || value_of(args, "--scale").is_some() {
-        spec.scale = ctx.scale;
-    }
-    if value_of(args, "--seed").is_some() {
-        spec.seed = ctx.seed;
-    }
     Ok(spec)
+}
+
+/// The CLI overrides as edits to a spec document: each flag sets the key
+/// it stands for, `--fault-ber` also drops `faults.ber_model`, and
+/// `--transport` replaces the `[transport]` table (`none` removes it).
+/// Numeric flags are read in the document's own number syntax.
+fn apply_overrides(doc: &mut Value, args: &[String], ctx: &RunContext) -> Result<(), String> {
+    if flag(args, "--quick") || value_of(args, "--scale").is_some() {
+        set(doc, "scale", ctx.scale.name().into());
+    }
+    for (name, path) in [
+        ("--seed", "seed"),
+        ("--fault-seed", "faults.seed"),
+        ("--fault-ber", "faults.ber"),
+        ("--workers", "engine.workers"),
+    ] {
+        if let Some(raw) = value_of(args, name) {
+            let value =
+                Value::parse_json(&raw).map_err(|_| format!("{name} could not parse {raw:?}"))?;
+            set(doc, path, value);
+        }
+    }
+    if value_of(args, "--fault-ber").is_some() {
+        remove(doc, "faults.ber_model");
+    }
+    for (name, path) in [
+        ("--heal-policy", "healing.policy"),
+        ("--export-chrome-trace", "telemetry.chrome_trace"),
+    ] {
+        if let Some(raw) = value_of(args, name) {
+            set(doc, path, raw.into());
+        }
+    }
+    match value_of(args, "--transport").as_deref() {
+        None => {}
+        Some("none") => remove(doc, "transport"),
+        Some(mode) => {
+            let mut table = Value::table();
+            table.insert("mode", mode);
+            set(doc, "transport", table);
+        }
+    }
+    Ok(())
+}
+
+/// Sets the key at the dotted `path`, creating missing tables on the way.
+/// A section that is not a table is left for `build()` to reject.
+fn set(doc: &mut Value, path: &str, value: Value) {
+    let Value::Table(table) = doc else { return };
+    match path.split_once('.') {
+        None => {
+            table.insert(path.to_string(), value);
+        }
+        Some((section, rest)) => {
+            set(
+                table
+                    .entry(section.to_string())
+                    .or_insert_with(Value::table),
+                rest,
+                value,
+            );
+        }
+    }
+}
+
+/// Removes the key at the dotted `path`, if the document has it.
+fn remove(doc: &mut Value, path: &str) {
+    let Value::Table(table) = doc else { return };
+    match path.split_once('.') {
+        None => {
+            table.remove(path);
+        }
+        Some((section, rest)) => {
+            if let Some(sub) = table.get_mut(section) {
+                remove(sub, rest);
+            }
+        }
+    }
 }
 
 /// The corpus runner: every `*.toml`/`*.json` spec in `dir`, one artifact
@@ -566,6 +520,13 @@ fn cmd_serve(args: &[String]) -> i32 {
         eprint!("{USAGE}");
         return 2;
     };
+    if let Some(only_spec) = SPEC_FLAGS
+        .iter()
+        .find(|name| value_of(args, name).is_some())
+    {
+        eprintln!("{only_spec} applies to `onoc run --spec <file>` only");
+        return 2;
+    }
     let spec = match load_spec(&path, args, &ctx) {
         Ok(spec) => spec,
         Err((code, message)) => {

@@ -503,9 +503,9 @@ pub struct TelemetrySpec {
     /// Override: emit the per-flow attribution artifacts (retired bits
     /// and energy split per source→destination pair; default `true`).
     pub per_flow: Option<bool>,
-    /// Chrome trace-event export path. Relative paths resolve against
-    /// the spec file's directory; the `--export-chrome-trace` CLI flag
-    /// overrides this key.
+    /// Chrome trace-event export path, used as given (a relative path
+    /// resolves against the working directory); the
+    /// `--export-chrome-trace` CLI flag sets this key.
     pub chrome_trace: Option<String>,
 }
 
@@ -877,6 +877,9 @@ impl FaultSpec {
     }
 
     fn validate(&self, max_lane: usize) -> Result<(), SpecError> {
+        if self.seed.is_some_and(|seed| !fits_document(seed)) {
+            return Err(invalid("faults.seed", SEED_RANGE));
+        }
         if let Some(ber) = self.ber {
             if !(ber.is_finite() && (0.0..1.0).contains(&ber)) {
                 return Err(invalid(
@@ -1513,12 +1516,8 @@ impl ScenarioSpec {
                 population,
                 generations,
             } => {
-                if let Some(p) = population {
-                    allocator.insert("population", *p);
-                }
-                if let Some(g) = generations {
-                    allocator.insert("generations", *g);
-                }
+                put(&mut allocator, "population", *population);
+                put(&mut allocator, "generations", *generations);
             }
             AllocatorSpec::Heuristic { kind } => allocator.insert("name", kind.name()),
             AllocatorSpec::Counts { counts } => allocator.insert("counts", counts.clone()),
@@ -1558,180 +1557,22 @@ impl ScenarioSpec {
                 }
                 InjectionMode::Ecn { threshold } => injection.insert("ecn_threshold", threshold),
             }
-            let overrides = [
-                ("aimd_step", self.aimd.additive_step),
-                ("aimd_md_factor", self.aimd.md_factor),
-                ("aimd_min_factor", self.aimd.min_factor),
-            ];
-            for (key, v) in overrides {
-                if let Some(v) = v {
-                    injection.insert(key, v);
-                }
-            }
+            put(&mut injection, "aimd_step", self.aimd.additive_step);
+            put(&mut injection, "aimd_md_factor", self.aimd.md_factor);
+            put(&mut injection, "aimd_min_factor", self.aimd.min_factor);
             root.insert("injection", injection);
         }
-        if let Some(energy) = &self.energy {
-            let mut table = Value::table();
-            table.insert("preset", ENERGY_PRESET_PAPER);
-            let overrides = [
-                ("laser_mw", energy.laser_mw),
-                ("tx_fj_per_bit", energy.tx_fj_per_bit),
-                ("rx_fj_per_bit", energy.rx_fj_per_bit),
-                ("mr_tuning_mw", energy.mr_tuning_mw),
-                ("clock_ghz", energy.clock_ghz),
-            ];
-            for (key, v) in overrides {
-                if let Some(v) = v {
-                    table.insert(key, v);
-                }
-            }
-            root.insert("energy", table);
-        }
-        if let Some(telemetry) = &self.telemetry {
-            let mut table = Value::table();
-            if let Some(window) = telemetry.window {
-                table.insert("window", window);
-            }
-            if let Some(per_flow) = telemetry.per_flow {
-                table.insert("per_flow", per_flow);
-            }
-            if let Some(path) = &telemetry.chrome_trace {
-                table.insert("chrome_trace", path.clone());
-            }
-            root.insert("telemetry", table);
-        }
-        if let Some(engine) = &self.engine {
-            let mut table = Value::table();
-            if let Some(workers) = engine.workers {
-                table.insert("workers", workers);
-            }
-            root.insert("engine", table);
-        }
-        if let Some(faults) = &self.faults {
-            let mut table = Value::table();
-            if let Some(seed) = faults.seed {
-                table.insert("seed", seed);
-            }
-            if let Some(ber) = faults.ber {
-                table.insert("ber", ber);
-            }
-            if let Some(model) = &faults.ber_model {
-                table.insert("ber_model", model.clone());
-            }
-            if let Some(lanes) = &faults.outage_lanes {
-                table.insert("outage_lanes", lanes.clone());
-            }
-            if let Some(starts) = &faults.outage_starts {
-                table.insert("outage_starts", starts.clone());
-            }
-            if let Some(durations) = &faults.outage_durations {
-                table.insert("outage_durations", durations.clone());
-            }
-            if let Some(v) = faults.mean_up {
-                table.insert("mean_up", v);
-            }
-            if let Some(v) = faults.mean_down {
-                table.insert("mean_down", v);
-            }
-            if let Some(v) = faults.fault_horizon {
-                table.insert("fault_horizon", v);
-            }
-            let ge = [
-                ("ge_p_gb", faults.ge_p_gb),
-                ("ge_p_bg", faults.ge_p_bg),
-                ("ge_ber_good", faults.ge_ber_good),
-                ("ge_ber_bad", faults.ge_ber_bad),
-            ];
-            for (key, v) in ge {
-                if let Some(v) = v {
-                    table.insert(key, v);
-                }
-            }
-            root.insert("faults", table);
-        }
-        if let Some(transport) = &self.transport {
-            let mut table = Value::table();
-            table.insert("mode", transport.mode());
-            match transport {
-                TransportSpec::GoBackN {
-                    window,
-                    nack_delay,
-                    timeout,
-                    max_retries,
-                } => {
-                    if let Some(v) = window {
-                        table.insert("window", *v);
-                    }
-                    if let Some(v) = nack_delay {
-                        table.insert("nack_delay", *v);
-                    }
-                    if let Some(v) = timeout {
-                        table.insert("timeout", *v);
-                    }
-                    if let Some(v) = max_retries {
-                        table.insert("max_retries", u64::from(*v));
-                    }
-                }
-                TransportSpec::Pfc {
-                    dst_window,
-                    max_retries,
-                } => {
-                    if let Some(v) = dst_window {
-                        table.insert("dst_window", *v);
-                    }
-                    if let Some(v) = max_retries {
-                        table.insert("max_retries", u64::from(*v));
-                    }
-                }
-            }
-            root.insert("transport", table);
-        }
-        if let Some(healing) = &self.healing {
-            let mut table = Value::table();
-            if let Some(policy) = &healing.policy {
-                table.insert("policy", policy.clone());
-            }
-            if let Some(th) = healing.ber_threshold {
-                table.insert("ber_threshold", th);
-            }
-            root.insert("healing", table);
-        }
-        if let Some(service) = &self.service {
-            let mut table = Value::table();
-            if let Some(sessions) = service.sessions {
-                table.insert("sessions", sessions);
-            }
-            if let Some(rate) = service.arrival_rate {
-                table.insert("arrival_rate", rate);
-            }
-            if let Some(hold) = service.mean_hold {
-                table.insert("mean_hold", hold);
-            }
-            if let Some(demand) = service.max_demand {
-                table.insert("max_demand", demand);
-            }
-            if let Some(policy) = service.policy {
-                table.insert("policy", policy.name());
-            }
-            if let Some(defrag) = service.defrag {
-                table.insert("defrag", defrag.name());
-            }
-            if let Some(th) = service.defrag_threshold {
-                table.insert("defrag_threshold", th);
-            }
-            if let Some(idle) = service.defrag_idle {
-                table.insert("defrag_idle", idle);
-            }
-            if let Some(wait) = service.max_wait {
-                table.insert("max_wait", wait);
-            }
-            if let Some(demand) = service.trace_demand {
-                table.insert("trace_demand", demand);
-            }
-            if let Some(stretch) = service.stretch {
-                table.insert("stretch", stretch);
-            }
-            root.insert("service", table);
+        let tables = [
+            ("energy", self.energy.as_ref().map(write_energy)),
+            ("telemetry", self.telemetry.as_ref().map(write_telemetry)),
+            ("engine", self.engine.as_ref().map(write_engine)),
+            ("faults", self.faults.as_ref().map(write_faults)),
+            ("transport", self.transport.as_ref().map(write_transport)),
+            ("healing", self.healing.as_ref().map(write_healing)),
+            ("service", self.service.as_ref().map(write_service)),
+        ];
+        for (key, table) in tables {
+            put(&mut root, key, table);
         }
         root
     }
@@ -1743,103 +1584,37 @@ impl ScenarioSpec {
     /// Returns [`SpecError`] when fields are missing, malformed, or the
     /// combination is invalid.
     pub fn from_value(value: &Value) -> Result<Self, SpecError> {
-        let name = req_str(value, "name")?.to_string();
-        let seed = opt_u64(value, "seed")?.unwrap_or(2017);
-        let scale = match value.get("scale") {
-            None => Scale::Paper,
-            Some(v) => {
-                let raw = v.as_str().ok_or_else(|| invalid("scale", "not a string"))?;
-                Scale::from_name(raw)
-                    .ok_or_else(|| invalid("scale", format!("unknown scale {raw:?}")))?
-            }
-        };
-        let objectives = match value.get("objectives") {
-            None => ObjectiveSet::TimeEnergy,
-            Some(v) => {
-                let raw = v
-                    .as_str()
-                    .ok_or_else(|| invalid("objectives", "not a string"))?;
-                objectives_from_name(raw)
-                    .ok_or_else(|| invalid("objectives", format!("unknown set {raw:?}")))?
-            }
-        };
-        let arch = match value.get("arch") {
-            None => ArchSpec::default(),
-            Some(a) => ArchSpec {
-                nodes: opt_usize_in(a, "arch.nodes", "nodes")?.unwrap_or(16),
-                wavelengths: opt_usize_in(a, "arch.wavelengths", "wavelengths")?.unwrap_or(8),
-            },
-        };
-        let workload = parse_workload(
-            value
-                .get("workload")
-                .ok_or(SpecError::Missing { field: "workload" })?,
-        )?;
-        let allocator = parse_allocator(
-            value
-                .get("allocator")
-                .ok_or(SpecError::Missing { field: "allocator" })?,
-        )?;
-        let (injection, aimd) = match value.get("injection") {
-            None => (InjectionMode::Open, AimdSpec::default()),
-            Some(table) => parse_injection(table)?,
-        };
-        let report = match value.get("report") {
-            None => ReportKind::Full,
-            Some(v) => {
-                let raw = v
-                    .as_str()
-                    .ok_or_else(|| invalid("report", "not a string"))?;
-                ReportKind::from_name(raw)
-                    .ok_or_else(|| invalid("report", format!("unknown report mode {raw:?}")))?
-            }
-        };
-        let energy = match value.get("energy") {
-            None => None,
-            Some(table) => Some(parse_energy(table)?),
-        };
-        let telemetry = match value.get("telemetry") {
-            None => None,
-            Some(table) => Some(parse_telemetry(table)?),
-        };
-        let engine = match value.get("engine") {
-            None => None,
-            Some(table) => Some(parse_engine(table)?),
-        };
-        let faults = match value.get("faults") {
-            None => None,
-            Some(table) => Some(parse_faults(table)?),
-        };
-        let transport = match value.get("transport") {
-            None => None,
-            Some(table) => Some(parse_transport(table)?),
-        };
-        let healing = match value.get("healing") {
-            None => None,
-            Some(table) => Some(parse_healing(table)?),
-        };
-        let service = match value.get("service") {
-            None => None,
-            Some(table) => Some(parse_service(table)?),
-        };
+        let root = Table { value, key_at: 0 };
+        let (injection, aimd) = opt(root, "injection")?
+            .map(parse_injection)
+            .transpose()?
+            .unwrap_or((InjectionMode::Open, AimdSpec::default()));
         ScenarioSpecBuilder {
-            name,
-            seed,
-            scale,
-            objectives,
-            arch,
-            workload,
-            allocator,
+            name: req(root, "name")?,
+            seed: opt(root, "seed")?.unwrap_or(2017),
+            scale: opt_named(root, "scale", "scale", Scale::from_name)?.unwrap_or_default(),
+            objectives: opt_named(root, "objectives", "set", objectives_from_name)?
+                .unwrap_or(ObjectiveSet::TimeEnergy),
+            arch: match opt::<Table>(root, "arch")? {
+                None => ArchSpec::default(),
+                Some(a) => ArchSpec {
+                    nodes: opt(a, "arch.nodes")?.unwrap_or(16),
+                    wavelengths: opt(a, "arch.wavelengths")?.unwrap_or(8),
+                },
+            },
+            workload: parse_workload(req(root, "workload")?)?,
+            allocator: parse_allocator(req(root, "allocator")?)?,
             injection,
-            report,
-            energy,
-            telemetry,
-            engine,
+            report: opt_named(root, "report", "report mode", ReportKind::from_name)?
+                .unwrap_or_default(),
+            energy: opt(root, "energy")?.map(parse_energy).transpose()?,
+            telemetry: opt(root, "telemetry")?.map(parse_telemetry).transpose()?,
+            engine: opt(root, "engine")?.map(parse_engine).transpose()?,
             aimd,
-            faults,
-            transport,
-            healing,
-            service,
+            faults: opt(root, "faults")?.map(parse_faults).transpose()?,
+            transport: opt(root, "transport")?.map(parse_transport).transpose()?,
+            healing: opt(root, "healing")?.map(parse_healing).transpose()?,
+            service: opt(root, "service")?.map(parse_service).transpose()?,
         }
         .build()
     }
@@ -1997,6 +1772,9 @@ impl ScenarioSpecBuilder {
         if self.name.trim().is_empty() {
             return Err(invalid("name", "must not be empty"));
         }
+        if !fits_document(self.seed) {
+            return Err(invalid("seed", SEED_RANGE));
+        }
         if self.arch.nodes < 2 {
             return Err(invalid("arch.nodes", "a ring needs at least 2 nodes"));
         }
@@ -2016,8 +1794,12 @@ impl ScenarioSpecBuilder {
                 stages,
                 exec_kcc,
                 volume_kbits,
+                mapping_seed,
                 ..
             } => {
+                if !fits_document(*mapping_seed) {
+                    return Err(invalid("workload.mapping_seed", SEED_RANGE));
+                }
                 if *stages == 0 {
                     return Err(invalid("workload.stages", "must be at least 1"));
                 }
@@ -2384,7 +2166,19 @@ impl ScenarioSpecBuilder {
     }
 }
 
-// ------------------------------------------------------- field helpers --
+// -------------------------------------------------------- field reader --
+//
+// Every key is read by its full dotted path (`"transport.nack_delay"`)
+// from the `Table` that holds it, and every `Missing`/`Invalid` error is
+// filed under that same path.
+
+/// Spec documents hold `i64` integers, so a seed above `i64::MAX` could
+/// not be written back.
+fn fits_document(seed: u64) -> bool {
+    i64::try_from(seed).is_ok()
+}
+
+const SEED_RANGE: &str = "must be at most 2^63 - 1 (spec documents hold 64-bit signed integers)";
 
 fn invalid(field: &'static str, message: impl Into<String>) -> SpecError {
     SpecError::Invalid {
@@ -2393,73 +2187,167 @@ fn invalid(field: &'static str, message: impl Into<String>) -> SpecError {
     }
 }
 
-fn req_str<'a>(value: &'a Value, field: &'static str) -> Result<&'a str, SpecError> {
-    value
-        .get(field)
-        .ok_or(SpecError::Missing { field })?
-        .as_str()
-        .ok_or_else(|| invalid(field, "not a string"))
+/// A type one spec key can hold, converted from its document value.
+trait FieldValue<'a>: Sized {
+    /// Converts `value`, found at the dotted `path`; the error is the
+    /// message filed under that path.
+    fn convert(value: &'a Value, path: &'static str) -> Result<Self, String>;
 }
 
-fn opt_u64(value: &Value, field: &'static str) -> Result<Option<u64>, SpecError> {
-    match value.get(field) {
-        None => Ok(None),
-        Some(v) => {
-            let i = v.as_int().ok_or_else(|| invalid(field, "not an integer"))?;
-            u64::try_from(i)
-                .map(Some)
-                .map_err(|_| invalid(field, "must be nonnegative"))
+/// A table of the spec document (the root, or a section such as
+/// `[transport]`) that knows where its keys start in their dotted paths,
+/// so a key is found without searching its path.
+#[derive(Clone, Copy)]
+struct Table<'a> {
+    value: &'a Value,
+    /// Length of the section's path plus its dot (0 for the root).
+    key_at: usize,
+}
+
+impl<'a> FieldValue<'a> for Table<'a> {
+    fn convert(value: &'a Value, path: &'static str) -> Result<Self, String> {
+        match value {
+            Value::Table(_) => Ok(Table {
+                value,
+                key_at: path.len() + 1,
+            }),
+            _ => Err("not a table".into()),
         }
     }
 }
 
-fn opt_usize_in(table: &Value, field: &'static str, key: &str) -> Result<Option<usize>, SpecError> {
-    match table.get(key) {
-        None => Ok(None),
-        Some(v) => {
-            let i = v.as_int().ok_or_else(|| invalid(field, "not an integer"))?;
-            usize::try_from(i)
-                .map(Some)
-                .map_err(|_| invalid(field, "must be nonnegative"))
-        }
+impl<'a> FieldValue<'a> for &'a str {
+    fn convert(value: &'a Value, _: &'static str) -> Result<Self, String> {
+        value.as_str().ok_or_else(|| "not a string".into())
     }
 }
 
-fn req_float_in(table: &Value, field: &'static str, key: &str) -> Result<f64, SpecError> {
-    table
-        .get(key)
-        .ok_or(SpecError::Missing { field })?
-        .as_float()
-        .ok_or_else(|| invalid(field, "not a number"))
+impl FieldValue<'_> for String {
+    fn convert(value: &Value, path: &'static str) -> Result<Self, String> {
+        <&str>::convert(value, path).map(str::to_string)
+    }
 }
 
-fn usize_array(table: &Value, field: &'static str, key: &str) -> Result<Vec<usize>, SpecError> {
-    table
-        .get(key)
-        .ok_or(SpecError::Missing { field })?
-        .as_array()
-        .ok_or_else(|| invalid(field, "not an array"))?
-        .iter()
-        .map(|v| {
-            v.as_int()
-                .and_then(|i| usize::try_from(i).ok())
-                .ok_or_else(|| invalid(field, "entries must be nonnegative integers"))
-        })
-        .collect()
+impl FieldValue<'_> for bool {
+    fn convert(value: &Value, _: &'static str) -> Result<Self, String> {
+        value.as_bool().ok_or_else(|| "not a boolean".into())
+    }
 }
 
-fn float_array(table: &Value, field: &'static str, key: &str) -> Result<Vec<f64>, SpecError> {
+impl FieldValue<'_> for f64 {
+    fn convert(value: &Value, _: &'static str) -> Result<Self, String> {
+        value.as_float().ok_or_else(|| "not a number".into())
+    }
+}
+
+/// The document's integers are `i64`; unsigned keys take the
+/// nonnegative ones that fit `T`.
+fn unsigned<T: TryFrom<i64>>(value: &Value, out_of_range: &str) -> Result<T, String> {
+    let i = value.as_int().ok_or("not an integer")?;
+    T::try_from(i).map_err(|_| out_of_range.into())
+}
+
+impl FieldValue<'_> for u64 {
+    fn convert(value: &Value, _: &'static str) -> Result<Self, String> {
+        unsigned(value, "must be nonnegative")
+    }
+}
+
+impl FieldValue<'_> for usize {
+    fn convert(value: &Value, _: &'static str) -> Result<Self, String> {
+        unsigned(value, "must be nonnegative")
+    }
+}
+
+impl FieldValue<'_> for u32 {
+    fn convert(value: &Value, _: &'static str) -> Result<Self, String> {
+        unsigned(value, "must be a nonnegative 32-bit integer")
+    }
+}
+
+impl<'a, T: FieldValue<'a>> FieldValue<'a> for Vec<T> {
+    fn convert(value: &'a Value, path: &'static str) -> Result<Self, String> {
+        value
+            .as_array()
+            .ok_or("not an array")?
+            .iter()
+            .enumerate()
+            .map(|(i, v)| T::convert(v, path).map_err(|message| format!("entry {i}: {message}")))
+            .collect()
+    }
+}
+
+/// A name-valued key (`kind`, `mode`, `policy`, a pattern name): the
+/// string, kept with its path so an unmatched name is reported against
+/// the key that holds it.
+struct Choice<'a> {
+    path: &'static str,
+    name: &'a str,
+}
+
+impl<'a> FieldValue<'a> for Choice<'a> {
+    fn convert(value: &'a Value, path: &'static str) -> Result<Self, String> {
+        <&str>::convert(value, path).map(|name| Choice { path, name })
+    }
+}
+
+impl Choice<'_> {
+    /// The error for a name outside the key's vocabulary (`what`).
+    fn unknown(&self, what: &str) -> SpecError {
+        invalid(self.path, format!("unknown {what} {:?}", self.name))
+    }
+
+    /// The name resolved through `from_name`.
+    fn resolve<T>(
+        &self,
+        what: &str,
+        from_name: impl FnOnce(&str) -> Option<T>,
+    ) -> Result<T, SpecError> {
+        from_name(self.name).ok_or_else(|| self.unknown(what))
+    }
+}
+
+/// Reads the optional key at the dotted `path` from `table`, the table
+/// its last segment lives in.
+fn opt<'a, T: FieldValue<'a>>(
+    table: Table<'a>,
+    path: &'static str,
+) -> Result<Option<T>, SpecError> {
+    debug_assert_eq!(
+        path.rfind('.').map_or(0, |dot| dot + 1),
+        table.key_at,
+        "{path}"
+    );
     table
-        .get(key)
-        .ok_or(SpecError::Missing { field })?
-        .as_array()
-        .ok_or_else(|| invalid(field, "not an array"))?
-        .iter()
-        .map(|v| {
-            v.as_float()
-                .ok_or_else(|| invalid(field, "entries must be numbers"))
-        })
-        .collect()
+        .value
+        .get(&path[table.key_at..])
+        .map(|v| T::convert(v, path).map_err(|message| invalid(path, message)))
+        .transpose()
+}
+
+/// Reads the required key at the dotted `path` (see [`opt`]).
+fn req<'a, T: FieldValue<'a>>(table: Table<'a>, path: &'static str) -> Result<T, SpecError> {
+    opt(table, path)?.ok_or(SpecError::Missing { field: path })
+}
+
+/// Reads an optional name-valued key and resolves it through `from_name`.
+fn opt_named<T>(
+    table: Table,
+    path: &'static str,
+    what: &str,
+    from_name: impl FnOnce(&str) -> Option<T>,
+) -> Result<Option<T>, SpecError> {
+    opt::<Choice>(table, path)?
+        .map(|name| name.resolve(what, from_name))
+        .transpose()
+}
+
+/// Inserts `value` under `key` when the spec sets it: the document form
+/// omits every key left at its default.
+fn put(table: &mut Value, key: &str, value: Option<impl Into<Value>>) {
+    if let Some(value) = value {
+        table.insert(key, value);
+    }
 }
 
 // ----------------------------------------------- pattern/objective names --
@@ -2478,28 +2366,24 @@ fn pattern_name(pattern: &TrafficPattern) -> &'static str {
     }
 }
 
-fn pattern_from_parts(
-    name: &str,
-    table: &Value,
-    field: &'static str,
-) -> Result<TrafficPattern, SpecError> {
-    match name {
-        "uniform" => Ok(TrafficPattern::UniformRandom),
-        "transpose" => Ok(TrafficPattern::Transpose),
-        "bit-reversal" => Ok(TrafficPattern::BitReversal),
-        "bit-complement" => Ok(TrafficPattern::BitComplement),
-        "nearest-neighbor" => Ok(TrafficPattern::NearestNeighbor),
-        "tornado" => Ok(TrafficPattern::Tornado),
-        "hotspot" => {
-            let hotspots = usize_array(table, "workload.hotspots", "hotspots")?
+/// The pattern `name` selects; a hotspot reads its sibling keys.
+fn read_pattern(name: &Choice, table: Table) -> Result<TrafficPattern, SpecError> {
+    Ok(match name.name {
+        "uniform" => TrafficPattern::UniformRandom,
+        "transpose" => TrafficPattern::Transpose,
+        "bit-reversal" => TrafficPattern::BitReversal,
+        "bit-complement" => TrafficPattern::BitComplement,
+        "nearest-neighbor" => TrafficPattern::NearestNeighbor,
+        "tornado" => TrafficPattern::Tornado,
+        "hotspot" => TrafficPattern::Hotspot {
+            hotspots: req::<Vec<usize>>(table, "workload.hotspots")?
                 .into_iter()
                 .map(NodeId)
-                .collect::<Vec<_>>();
-            let fraction = req_float_in(table, "workload.fraction", "fraction")?;
-            Ok(TrafficPattern::Hotspot { hotspots, fraction })
-        }
-        other => Err(invalid(field, format!("unknown pattern {other:?}"))),
-    }
+                .collect(),
+            fraction: req(table, "workload.fraction")?,
+        },
+        _ => return Err(name.unknown("pattern")),
+    })
 }
 
 fn write_pattern(workload: &mut Value, pattern: &TrafficPattern) {
@@ -2517,18 +2401,13 @@ fn write_burstiness(workload: &mut Value, burstiness: Option<(f64, f64)>) {
     }
 }
 
-fn read_burstiness(table: &Value) -> Result<Option<(f64, f64)>, SpecError> {
-    match (table.get("burst_on"), table.get("burst_off")) {
+fn read_burstiness(table: Table) -> Result<Option<(f64, f64)>, SpecError> {
+    match (
+        opt(table, "workload.burst_on")?,
+        opt(table, "workload.burst_off")?,
+    ) {
         (None, None) => Ok(None),
-        (Some(on), Some(off)) => {
-            let on = on
-                .as_float()
-                .ok_or_else(|| invalid("workload.burst_on", "not a number"))?;
-            let off = off
-                .as_float()
-                .ok_or_else(|| invalid("workload.burst_off", "not a number"))?;
-            Ok(Some((on, off)))
-        }
+        (Some(on), Some(off)) => Ok(Some((on, off))),
         _ => Err(invalid(
             "workload.burst_on",
             "burst_on and burst_off must be given together",
@@ -2589,477 +2468,317 @@ pub fn objectives_from_name(name: &str) -> Option<ObjectiveSet> {
     }
 }
 
-fn parse_workload(table: &Value) -> Result<WorkloadSpec, SpecError> {
-    match req_str(table, "kind") {
-        Err(SpecError::Missing { .. }) => Err(SpecError::Missing {
-            field: "workload.kind",
-        }),
-        Err(e) => Err(e),
-        Ok("paper-app") => Ok(WorkloadSpec::PaperApp),
-        Ok("trace") => {
-            let path = req_str(table, "path")
-                .map_err(|e| match e {
-                    SpecError::Missing { .. } => SpecError::Missing {
-                        field: "workload.path",
-                    },
-                    other => other,
-                })?
-                .to_string();
-            Ok(WorkloadSpec::Trace { path })
-        }
-        Ok("kernel") => {
-            let raw = table
-                .get("kernel")
-                .ok_or(SpecError::Missing {
-                    field: "workload.kernel",
-                })?
-                .as_str()
-                .ok_or_else(|| invalid("workload.kernel", "not a string"))?;
-            let kind = KernelKind::from_name(raw)
-                .ok_or_else(|| invalid("workload.kernel", format!("unknown kernel {raw:?}")))?;
-            Ok(WorkloadSpec::Kernel {
-                kind,
-                stages: opt_usize_in(table, "workload.stages", "stages")?.ok_or(
-                    SpecError::Missing {
-                        field: "workload.stages",
-                    },
-                )?,
-                exec_kcc: req_float_in(table, "workload.exec_kcc", "exec_kcc")?,
-                volume_kbits: req_float_in(table, "workload.volume_kbits", "volume_kbits")?,
-                mapping_seed: opt_u64(table, "mapping_seed")?.unwrap_or(1),
-            })
-        }
-        Ok("synthetic") => {
-            let raw = req_str(table, "pattern").map_err(|e| match e {
-                SpecError::Missing { .. } => SpecError::Missing {
-                    field: "workload.pattern",
-                },
-                other => other,
-            })?;
-            Ok(WorkloadSpec::Synthetic {
-                pattern: pattern_from_parts(raw, table, "workload.pattern")?,
-                injection_rate: req_float_in(table, "workload.injection_rate", "injection_rate")?,
-                message_bits: req_float_in(table, "workload.message_bits", "message_bits")?,
-                horizon: opt_u64(table, "horizon")?.ok_or(SpecError::Missing {
-                    field: "workload.horizon",
-                })?,
-                burstiness: read_burstiness(table)?,
-            })
-        }
-        Ok("sweep") => {
-            let names = table
-                .get("patterns")
-                .ok_or(SpecError::Missing {
-                    field: "workload.patterns",
-                })?
-                .as_array()
-                .ok_or_else(|| invalid("workload.patterns", "not an array"))?;
-            let patterns = names
+// ------------------------------------------------ table readers/writers --
+
+fn parse_workload(table: Table) -> Result<WorkloadSpec, SpecError> {
+    let kind = req::<Choice>(table, "workload.kind")?;
+    Ok(match kind.name {
+        "paper-app" => WorkloadSpec::PaperApp,
+        "trace" => WorkloadSpec::Trace {
+            path: req(table, "workload.path")?,
+        },
+        "kernel" => WorkloadSpec::Kernel {
+            kind: req::<Choice>(table, "workload.kernel")?
+                .resolve("kernel", KernelKind::from_name)?,
+            stages: req(table, "workload.stages")?,
+            exec_kcc: req(table, "workload.exec_kcc")?,
+            volume_kbits: req(table, "workload.volume_kbits")?,
+            mapping_seed: opt(table, "workload.mapping_seed")?.unwrap_or(1),
+        },
+        "synthetic" => WorkloadSpec::Synthetic {
+            pattern: read_pattern(&req(table, "workload.pattern")?, table)?,
+            injection_rate: req(table, "workload.injection_rate")?,
+            message_bits: req(table, "workload.message_bits")?,
+            horizon: req(table, "workload.horizon")?,
+            burstiness: read_burstiness(table)?,
+        },
+        "sweep" => WorkloadSpec::Sweep {
+            patterns: req::<Vec<Choice>>(table, "workload.patterns")?
                 .iter()
-                .map(|v| {
-                    let raw = v
-                        .as_str()
-                        .ok_or_else(|| invalid("workload.patterns", "entries must be strings"))?;
-                    pattern_from_parts(raw, table, "workload.patterns")
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            Ok(WorkloadSpec::Sweep {
-                patterns,
-                injection_rates: float_array(table, "workload.injection_rates", "injection_rates")?,
-                wavelengths: usize_array(table, "workload.wavelengths", "wavelengths")?,
-                ring_sizes: usize_array(table, "workload.ring_sizes", "ring_sizes")?,
-                message_bits: req_float_in(table, "workload.message_bits", "message_bits")?,
-                horizon: opt_u64(table, "horizon")?.ok_or(SpecError::Missing {
-                    field: "workload.horizon",
-                })?,
-                burstiness: read_burstiness(table)?,
-            })
-        }
-        Ok(other) => Err(invalid(
-            "workload.kind",
-            format!("unknown workload kind {other:?}"),
-        )),
-    }
-}
-
-fn parse_allocator(table: &Value) -> Result<AllocatorSpec, SpecError> {
-    match req_str(table, "kind") {
-        Err(SpecError::Missing { .. }) => Err(SpecError::Missing {
-            field: "allocator.kind",
-        }),
-        Err(e) => Err(e),
-        Ok("nsga2") => Ok(AllocatorSpec::Nsga2 {
-            population: opt_usize_in(table, "allocator.population", "population")?,
-            generations: opt_usize_in(table, "allocator.generations", "generations")?,
-        }),
-        Ok("heuristic") => {
-            let raw = req_str(table, "name").map_err(|e| match e {
-                SpecError::Missing { .. } => SpecError::Missing {
-                    field: "allocator.name",
-                },
-                other => other,
-            })?;
-            let kind = HeuristicKind::from_name(raw)
-                .ok_or_else(|| invalid("allocator.name", format!("unknown heuristic {raw:?}")))?;
-            Ok(AllocatorSpec::Heuristic { kind })
-        }
-        Ok("counts") => Ok(AllocatorSpec::Counts {
-            counts: usize_array(table, "allocator.counts", "counts")?,
-        }),
-        Ok("dynamic") => {
-            let policy = match table.get("policy").and_then(Value::as_str) {
-                None | Some("single") => DynamicPolicy::Single,
-                Some("greedy") => DynamicPolicy::Greedy {
-                    cap: opt_usize_in(table, "allocator.cap", "cap")?.ok_or(
-                        SpecError::Missing {
-                            field: "allocator.cap",
-                        },
-                    )?,
-                },
-                Some(other) => {
-                    return Err(invalid(
-                        "allocator.policy",
-                        format!("unknown dynamic policy {other:?}"),
-                    ));
-                }
-            };
-            Ok(AllocatorSpec::Dynamic { policy })
-        }
-        Ok("flow-synthesis") => {
-            let policy = match table.get("policy").and_then(Value::as_str) {
-                None | Some("proportional") => FlowAllocPolicy::Proportional {
-                    max_lanes_per_flow: opt_usize_in(
-                        table,
-                        "allocator.max_lanes_per_flow",
-                        "max_lanes_per_flow",
-                    )?
-                    .unwrap_or(128),
-                },
-                Some("first-fit") => FlowAllocPolicy::FirstFit,
-                Some("relaxed") => FlowAllocPolicy::Relaxed,
-                Some(other) => {
-                    return Err(invalid(
-                        "allocator.policy",
-                        format!("unknown flow-synthesis policy {other:?}"),
-                    ));
-                }
-            };
-            Ok(AllocatorSpec::FlowSynthesis {
-                policy,
-                spares: opt_usize_in(table, "allocator.spares", "spares")?.unwrap_or(0),
-            })
-        }
-        Ok("striped") => Ok(AllocatorSpec::Striped {
-            lanes_per_flow: opt_usize_in(table, "allocator.lanes_per_flow", "lanes_per_flow")?
-                .unwrap_or(1),
-        }),
-        Ok(other) => Err(invalid(
-            "allocator.kind",
-            format!("unknown allocator kind {other:?}"),
-        )),
-    }
-}
-
-fn parse_energy(table: &Value) -> Result<EnergySpec, SpecError> {
-    match table.get("preset") {
-        None => {}
-        Some(v) => {
-            let raw = v
-                .as_str()
-                .ok_or_else(|| invalid("energy.preset", "not a string"))?;
-            if raw != ENERGY_PRESET_PAPER {
-                return Err(invalid(
-                    "energy.preset",
-                    format!("unknown preset {raw:?} (only \"paper\" is defined)"),
-                ));
-            }
-        }
-    }
-    let opt_float = |key, field: &'static str| -> Result<Option<f64>, SpecError> {
-        match table.get(key) {
-            None => Ok(None),
-            Some(v) => v
-                .as_float()
-                .map(Some)
-                .ok_or_else(|| invalid(field, "not a number")),
-        }
-    };
-    Ok(EnergySpec {
-        laser_mw: opt_float("laser_mw", "energy.laser_mw")?,
-        tx_fj_per_bit: opt_float("tx_fj_per_bit", "energy.tx_fj_per_bit")?,
-        rx_fj_per_bit: opt_float("rx_fj_per_bit", "energy.rx_fj_per_bit")?,
-        mr_tuning_mw: opt_float("mr_tuning_mw", "energy.mr_tuning_mw")?,
-        clock_ghz: opt_float("clock_ghz", "energy.clock_ghz")?,
+                .map(|name| read_pattern(name, table))
+                .collect::<Result<_, _>>()?,
+            injection_rates: req(table, "workload.injection_rates")?,
+            wavelengths: req(table, "workload.wavelengths")?,
+            ring_sizes: req(table, "workload.ring_sizes")?,
+            message_bits: req(table, "workload.message_bits")?,
+            horizon: req(table, "workload.horizon")?,
+            burstiness: read_burstiness(table)?,
+        },
+        _ => return Err(kind.unknown("workload kind")),
     })
 }
 
-fn parse_engine(table: &Value) -> Result<EngineSpec, SpecError> {
-    let workers = match table.get("workers") {
-        None => None,
-        Some(v) => {
-            let i = v
-                .as_int()
-                .ok_or_else(|| invalid("engine.workers", "not an integer"))?;
-            Some(usize::try_from(i).map_err(|_| invalid("engine.workers", "must be nonnegative"))?)
-        }
-    };
-    Ok(EngineSpec { workers })
-}
-
-fn parse_telemetry(table: &Value) -> Result<TelemetrySpec, SpecError> {
-    let window = match table.get("window") {
-        None => None,
-        Some(v) => {
-            let i = v
-                .as_int()
-                .ok_or_else(|| invalid("telemetry.window", "not an integer"))?;
-            Some(u64::try_from(i).map_err(|_| invalid("telemetry.window", "must be nonnegative"))?)
-        }
-    };
-    let per_flow = match table.get("per_flow") {
-        None => None,
-        Some(v) => Some(
-            v.as_bool()
-                .ok_or_else(|| invalid("telemetry.per_flow", "not a boolean"))?,
-        ),
-    };
-    let chrome_trace = match table.get("chrome_trace") {
-        None => None,
-        Some(v) => Some(
-            v.as_str()
-                .ok_or_else(|| invalid("telemetry.chrome_trace", "not a string"))?
-                .to_string(),
-        ),
-    };
-    Ok(TelemetrySpec {
-        window,
-        per_flow,
-        chrome_trace,
+fn parse_allocator(table: Table) -> Result<AllocatorSpec, SpecError> {
+    let kind = req::<Choice>(table, "allocator.kind")?;
+    Ok(match kind.name {
+        "nsga2" => AllocatorSpec::Nsga2 {
+            population: opt(table, "allocator.population")?,
+            generations: opt(table, "allocator.generations")?,
+        },
+        "heuristic" => AllocatorSpec::Heuristic {
+            kind: req::<Choice>(table, "allocator.name")?
+                .resolve("heuristic", HeuristicKind::from_name)?,
+        },
+        "counts" => AllocatorSpec::Counts {
+            counts: req(table, "allocator.counts")?,
+        },
+        "dynamic" => AllocatorSpec::Dynamic {
+            policy: match opt(table, "allocator.policy")? {
+                None | Some(Choice { name: "single", .. }) => DynamicPolicy::Single,
+                Some(Choice { name: "greedy", .. }) => DynamicPolicy::Greedy {
+                    cap: req(table, "allocator.cap")?,
+                },
+                Some(other) => return Err(other.unknown("dynamic policy")),
+            },
+        },
+        "flow-synthesis" => AllocatorSpec::FlowSynthesis {
+            policy: match opt(table, "allocator.policy")? {
+                None
+                | Some(Choice {
+                    name: "proportional",
+                    ..
+                }) => FlowAllocPolicy::Proportional {
+                    max_lanes_per_flow: opt(table, "allocator.max_lanes_per_flow")?.unwrap_or(128),
+                },
+                Some(Choice {
+                    name: "first-fit", ..
+                }) => FlowAllocPolicy::FirstFit,
+                Some(Choice {
+                    name: "relaxed", ..
+                }) => FlowAllocPolicy::Relaxed,
+                Some(other) => return Err(other.unknown("flow-synthesis policy")),
+            },
+            spares: opt(table, "allocator.spares")?.unwrap_or(0),
+        },
+        "striped" => AllocatorSpec::Striped {
+            lanes_per_flow: opt(table, "allocator.lanes_per_flow")?.unwrap_or(1),
+        },
+        _ => return Err(kind.unknown("allocator kind")),
     })
 }
 
-fn parse_service(table: &Value) -> Result<ServiceSpec, SpecError> {
-    let opt_float = |key, field: &'static str| -> Result<Option<f64>, SpecError> {
-        match table.get(key) {
-            None => Ok(None),
-            Some(v) => v
-                .as_float()
-                .map(Some)
-                .ok_or_else(|| invalid(field, "not a number")),
-        }
-    };
-    let opt_u64 = |key, field: &'static str| -> Result<Option<u64>, SpecError> {
-        match table.get(key) {
-            None => Ok(None),
-            Some(v) => {
-                let i = v.as_int().ok_or_else(|| invalid(field, "not an integer"))?;
-                Some(u64::try_from(i).map_err(|_| invalid(field, "must be nonnegative")))
-                    .transpose()
-            }
-        }
-    };
-    let policy = match table.get("policy") {
-        None => None,
-        Some(v) => {
-            let raw = v
-                .as_str()
-                .ok_or_else(|| invalid("service.policy", "not a string"))?;
-            Some(GrantPolicy::parse(raw).ok_or_else(|| {
-                invalid("service.policy", format!("unknown grant policy {raw:?}"))
-            })?)
-        }
-    };
-    let defrag = match table.get("defrag") {
-        None => None,
-        Some(v) => {
-            let raw = v
-                .as_str()
-                .ok_or_else(|| invalid("service.defrag", "not a string"))?;
-            Some(DefragKind::from_name(raw).ok_or_else(|| {
-                invalid("service.defrag", format!("unknown defrag policy {raw:?}"))
-            })?)
-        }
-    };
-    Ok(ServiceSpec {
-        sessions: opt_usize_in(table, "service.sessions", "sessions")?,
-        arrival_rate: opt_float("arrival_rate", "service.arrival_rate")?,
-        mean_hold: opt_float("mean_hold", "service.mean_hold")?,
-        max_demand: opt_usize_in(table, "service.max_demand", "max_demand")?,
-        policy,
-        defrag,
-        defrag_threshold: opt_float("defrag_threshold", "service.defrag_threshold")?,
-        defrag_idle: opt_u64("defrag_idle", "service.defrag_idle")?,
-        max_wait: opt_u64("max_wait", "service.max_wait")?,
-        trace_demand: opt_usize_in(table, "service.trace_demand", "trace_demand")?,
-        stretch: opt_float("stretch", "service.stretch")?,
-    })
-}
-
-fn parse_injection(table: &Value) -> Result<(InjectionMode, AimdSpec), SpecError> {
-    let opt_float = |key, field: &'static str| -> Result<Option<f64>, SpecError> {
-        match table.get(key) {
-            None => Ok(None),
-            Some(v) => v
-                .as_float()
-                .map(Some)
-                .ok_or_else(|| invalid(field, "not a number")),
-        }
-    };
+fn parse_injection(table: Table) -> Result<(InjectionMode, AimdSpec), SpecError> {
     let aimd = AimdSpec {
-        additive_step: opt_float("aimd_step", "injection.aimd_step")?,
-        md_factor: opt_float("aimd_md_factor", "injection.aimd_md_factor")?,
-        min_factor: opt_float("aimd_min_factor", "injection.aimd_min_factor")?,
+        additive_step: opt(table, "injection.aimd_step")?,
+        md_factor: opt(table, "injection.aimd_md_factor")?,
+        min_factor: opt(table, "injection.aimd_min_factor")?,
     };
-    let mode = match req_str(table, "mode") {
-        Err(SpecError::Missing { .. }) => Err(SpecError::Missing {
-            field: "injection.mode",
-        }),
-        Err(e) => Err(e),
-        Ok("open") => Ok(InjectionMode::Open),
-        Ok("credit") => Ok(InjectionMode::Credit {
-            window: opt_usize_in(table, "injection.credit_window", "credit_window")?.unwrap_or(4),
-        }),
-        Ok("credit-dst") => Ok(InjectionMode::CreditPerDst {
-            window: opt_usize_in(table, "injection.credit_window", "credit_window")?.unwrap_or(4),
-        }),
-        Ok("ecn") => {
-            let threshold = match table.get("ecn_threshold") {
-                None => 0.75,
-                Some(v) => v
-                    .as_float()
-                    .ok_or_else(|| invalid("injection.ecn_threshold", "not a number"))?,
-            };
-            Ok(InjectionMode::Ecn { threshold })
+    let mode = req::<Choice>(table, "injection.mode")?;
+    let mode = match mode.name {
+        "open" => InjectionMode::Open,
+        "credit" | "credit-dst" => {
+            let window = opt(table, "injection.credit_window")?.unwrap_or(4);
+            if mode.name == "credit" {
+                InjectionMode::Credit { window }
+            } else {
+                InjectionMode::CreditPerDst { window }
+            }
         }
-        Ok(other) => Err(invalid(
-            "injection.mode",
-            format!("unknown injection mode {other:?}"),
-        )),
-    }?;
+        "ecn" => InjectionMode::Ecn {
+            threshold: opt(table, "injection.ecn_threshold")?.unwrap_or(0.75),
+        },
+        _ => return Err(mode.unknown("injection mode")),
+    };
     Ok((mode, aimd))
 }
 
-fn opt_usize_array(
-    table: &Value,
-    field: &'static str,
-    key: &str,
-) -> Result<Option<Vec<usize>>, SpecError> {
-    match table.get(key) {
-        None => Ok(None),
-        Some(_) => usize_array(table, field, key).map(Some),
+fn parse_energy(table: Table) -> Result<EnergySpec, SpecError> {
+    if let Some(preset) = opt::<Choice>(table, "energy.preset")?
+        && preset.name != ENERGY_PRESET_PAPER
+    {
+        return Err(invalid(
+            preset.path,
+            format!(
+                "unknown preset {:?} (only \"paper\" is defined)",
+                preset.name
+            ),
+        ));
     }
+    Ok(EnergySpec {
+        laser_mw: opt(table, "energy.laser_mw")?,
+        tx_fj_per_bit: opt(table, "energy.tx_fj_per_bit")?,
+        rx_fj_per_bit: opt(table, "energy.rx_fj_per_bit")?,
+        mr_tuning_mw: opt(table, "energy.mr_tuning_mw")?,
+        clock_ghz: opt(table, "energy.clock_ghz")?,
+    })
 }
 
-fn opt_u64_array(
-    table: &Value,
-    field: &'static str,
-    key: &str,
-) -> Result<Option<Vec<u64>>, SpecError> {
-    match table.get(key) {
-        None => Ok(None),
-        Some(v) => v
-            .as_array()
-            .ok_or_else(|| invalid(field, "not an array"))?
-            .iter()
-            .map(|v| {
-                v.as_int()
-                    .and_then(|i| u64::try_from(i).ok())
-                    .ok_or_else(|| invalid(field, "entries must be nonnegative integers"))
-            })
-            .collect::<Result<Vec<_>, _>>()
-            .map(Some),
-    }
+fn write_energy(energy: &EnergySpec) -> Value {
+    let mut table = Value::table();
+    table.insert("preset", ENERGY_PRESET_PAPER);
+    put(&mut table, "laser_mw", energy.laser_mw);
+    put(&mut table, "tx_fj_per_bit", energy.tx_fj_per_bit);
+    put(&mut table, "rx_fj_per_bit", energy.rx_fj_per_bit);
+    put(&mut table, "mr_tuning_mw", energy.mr_tuning_mw);
+    put(&mut table, "clock_ghz", energy.clock_ghz);
+    table
 }
 
-fn parse_faults(table: &Value) -> Result<FaultSpec, SpecError> {
-    let opt_float = |key, field: &'static str| -> Result<Option<f64>, SpecError> {
-        match table.get(key) {
-            None => Ok(None),
-            Some(v) => v
-                .as_float()
-                .map(Some)
-                .ok_or_else(|| invalid(field, "not a number")),
-        }
-    };
-    let ber_model = match table.get("ber_model") {
-        None => None,
-        Some(v) => Some(
-            v.as_str()
-                .ok_or_else(|| invalid("faults.ber_model", "not a string"))?
-                .to_string(),
-        ),
-    };
+fn parse_telemetry(table: Table) -> Result<TelemetrySpec, SpecError> {
+    Ok(TelemetrySpec {
+        window: opt(table, "telemetry.window")?,
+        per_flow: opt(table, "telemetry.per_flow")?,
+        chrome_trace: opt(table, "telemetry.chrome_trace")?,
+    })
+}
+
+fn write_telemetry(telemetry: &TelemetrySpec) -> Value {
+    let mut table = Value::table();
+    put(&mut table, "window", telemetry.window);
+    put(&mut table, "per_flow", telemetry.per_flow);
+    put(
+        &mut table,
+        "chrome_trace",
+        telemetry.chrome_trace.as_deref(),
+    );
+    table
+}
+
+fn parse_engine(table: Table) -> Result<EngineSpec, SpecError> {
+    Ok(EngineSpec {
+        workers: opt(table, "engine.workers")?,
+    })
+}
+
+fn write_engine(engine: &EngineSpec) -> Value {
+    let mut table = Value::table();
+    put(&mut table, "workers", engine.workers);
+    table
+}
+
+fn parse_service(table: Table) -> Result<ServiceSpec, SpecError> {
+    Ok(ServiceSpec {
+        sessions: opt(table, "service.sessions")?,
+        arrival_rate: opt(table, "service.arrival_rate")?,
+        mean_hold: opt(table, "service.mean_hold")?,
+        max_demand: opt(table, "service.max_demand")?,
+        policy: opt_named(table, "service.policy", "grant policy", GrantPolicy::parse)?,
+        defrag: opt_named(
+            table,
+            "service.defrag",
+            "defrag policy",
+            DefragKind::from_name,
+        )?,
+        defrag_threshold: opt(table, "service.defrag_threshold")?,
+        defrag_idle: opt(table, "service.defrag_idle")?,
+        max_wait: opt(table, "service.max_wait")?,
+        trace_demand: opt(table, "service.trace_demand")?,
+        stretch: opt(table, "service.stretch")?,
+    })
+}
+
+fn write_service(service: &ServiceSpec) -> Value {
+    let mut table = Value::table();
+    put(&mut table, "sessions", service.sessions);
+    put(&mut table, "arrival_rate", service.arrival_rate);
+    put(&mut table, "mean_hold", service.mean_hold);
+    put(&mut table, "max_demand", service.max_demand);
+    put(&mut table, "policy", service.policy.map(GrantPolicy::name));
+    put(&mut table, "defrag", service.defrag.map(DefragKind::name));
+    put(&mut table, "defrag_threshold", service.defrag_threshold);
+    put(&mut table, "defrag_idle", service.defrag_idle);
+    put(&mut table, "max_wait", service.max_wait);
+    put(&mut table, "trace_demand", service.trace_demand);
+    put(&mut table, "stretch", service.stretch);
+    table
+}
+
+fn parse_faults(table: Table) -> Result<FaultSpec, SpecError> {
     Ok(FaultSpec {
-        seed: opt_u64(table, "seed")?,
-        ber: opt_float("ber", "faults.ber")?,
-        ber_model,
-        outage_lanes: opt_usize_array(table, "faults.outage_lanes", "outage_lanes")?,
-        outage_starts: opt_u64_array(table, "faults.outage_starts", "outage_starts")?,
-        outage_durations: opt_u64_array(table, "faults.outage_durations", "outage_durations")?,
-        mean_up: opt_float("mean_up", "faults.mean_up")?,
-        mean_down: opt_float("mean_down", "faults.mean_down")?,
-        fault_horizon: opt_u64(table, "fault_horizon")?,
-        ge_p_gb: opt_float("ge_p_gb", "faults.ge_p_gb")?,
-        ge_p_bg: opt_float("ge_p_bg", "faults.ge_p_bg")?,
-        ge_ber_good: opt_float("ge_ber_good", "faults.ge_ber_good")?,
-        ge_ber_bad: opt_float("ge_ber_bad", "faults.ge_ber_bad")?,
+        seed: opt(table, "faults.seed")?,
+        ber: opt(table, "faults.ber")?,
+        ber_model: opt(table, "faults.ber_model")?,
+        outage_lanes: opt(table, "faults.outage_lanes")?,
+        outage_starts: opt(table, "faults.outage_starts")?,
+        outage_durations: opt(table, "faults.outage_durations")?,
+        mean_up: opt(table, "faults.mean_up")?,
+        mean_down: opt(table, "faults.mean_down")?,
+        fault_horizon: opt(table, "faults.fault_horizon")?,
+        ge_p_gb: opt(table, "faults.ge_p_gb")?,
+        ge_p_bg: opt(table, "faults.ge_p_bg")?,
+        ge_ber_good: opt(table, "faults.ge_ber_good")?,
+        ge_ber_bad: opt(table, "faults.ge_ber_bad")?,
     })
 }
 
-fn parse_healing(table: &Value) -> Result<HealingSpec, SpecError> {
-    let policy = match table.get("policy") {
-        None => None,
-        Some(v) => Some(
-            v.as_str()
-                .ok_or_else(|| invalid("healing.policy", "not a string"))?
-                .to_string(),
-        ),
-    };
-    let ber_threshold = match table.get("ber_threshold") {
-        None => None,
-        Some(v) => Some(
-            v.as_float()
-                .ok_or_else(|| invalid("healing.ber_threshold", "not a number"))?,
-        ),
-    };
+fn write_faults(faults: &FaultSpec) -> Value {
+    let mut table = Value::table();
+    put(&mut table, "seed", faults.seed);
+    put(&mut table, "ber", faults.ber);
+    put(&mut table, "ber_model", faults.ber_model.as_deref());
+    put(&mut table, "outage_lanes", faults.outage_lanes.clone());
+    put(&mut table, "outage_starts", faults.outage_starts.clone());
+    put(
+        &mut table,
+        "outage_durations",
+        faults.outage_durations.clone(),
+    );
+    put(&mut table, "mean_up", faults.mean_up);
+    put(&mut table, "mean_down", faults.mean_down);
+    put(&mut table, "fault_horizon", faults.fault_horizon);
+    put(&mut table, "ge_p_gb", faults.ge_p_gb);
+    put(&mut table, "ge_p_bg", faults.ge_p_bg);
+    put(&mut table, "ge_ber_good", faults.ge_ber_good);
+    put(&mut table, "ge_ber_bad", faults.ge_ber_bad);
+    table
+}
+
+fn parse_healing(table: Table) -> Result<HealingSpec, SpecError> {
     Ok(HealingSpec {
-        policy,
-        ber_threshold,
+        policy: opt(table, "healing.policy")?,
+        ber_threshold: opt(table, "healing.ber_threshold")?,
     })
 }
 
-fn parse_transport(table: &Value) -> Result<TransportSpec, SpecError> {
-    let opt_u32 = |key, field: &'static str| -> Result<Option<u32>, SpecError> {
-        match table.get(key) {
-            None => Ok(None),
-            Some(v) => {
-                let i = v.as_int().ok_or_else(|| invalid(field, "not an integer"))?;
-                u32::try_from(i)
-                    .map(Some)
-                    .map_err(|_| invalid(field, "must be a nonnegative 32-bit integer"))
-            }
+fn write_healing(healing: &HealingSpec) -> Value {
+    let mut table = Value::table();
+    put(&mut table, "policy", healing.policy.as_deref());
+    put(&mut table, "ber_threshold", healing.ber_threshold);
+    table
+}
+
+fn parse_transport(table: Table) -> Result<TransportSpec, SpecError> {
+    let mode = req::<Choice>(table, "transport.mode")?;
+    let max_retries = opt(table, "transport.max_retries")?;
+    Ok(match mode.name {
+        "gbn" => TransportSpec::GoBackN {
+            window: opt(table, "transport.window")?,
+            nack_delay: opt(table, "transport.nack_delay")?,
+            timeout: opt(table, "transport.timeout")?,
+            max_retries,
+        },
+        "pfc" => TransportSpec::Pfc {
+            dst_window: opt(table, "transport.dst_window")?,
+            max_retries,
+        },
+        _ => return Err(mode.unknown("transport mode")),
+    })
+}
+
+fn write_transport(transport: &TransportSpec) -> Value {
+    let mut table = Value::table();
+    table.insert("mode", transport.mode());
+    match transport {
+        TransportSpec::GoBackN {
+            window,
+            nack_delay,
+            timeout,
+            max_retries,
+        } => {
+            put(&mut table, "window", *window);
+            put(&mut table, "nack_delay", *nack_delay);
+            put(&mut table, "timeout", *timeout);
+            put(&mut table, "max_retries", max_retries.map(u64::from));
         }
-    };
-    match req_str(table, "mode") {
-        Err(SpecError::Missing { .. }) => Err(SpecError::Missing {
-            field: "transport.mode",
-        }),
-        Err(e) => Err(e),
-        Ok("gbn") => Ok(TransportSpec::GoBackN {
-            window: opt_usize_in(table, "transport.window", "window")?,
-            nack_delay: opt_u64(table, "nack_delay")?,
-            timeout: opt_u64(table, "timeout")?,
-            max_retries: opt_u32("max_retries", "transport.max_retries")?,
-        }),
-        Ok("pfc") => Ok(TransportSpec::Pfc {
-            dst_window: opt_usize_in(table, "transport.dst_window", "dst_window")?,
-            max_retries: opt_u32("max_retries", "transport.max_retries")?,
-        }),
-        Ok(other) => Err(invalid(
-            "transport.mode",
-            format!("unknown transport mode {other:?}"),
-        )),
+        TransportSpec::Pfc {
+            dst_window,
+            max_retries,
+        } => {
+            put(&mut table, "dst_window", *dst_window);
+            put(&mut table, "max_retries", max_retries.map(u64::from));
+        }
     }
+    table
 }
 
 #[cfg(test)]
@@ -4147,5 +3866,313 @@ kind = "nsga2"
         );
         // The smallest run NSGA-II accepts is a valid spec.
         assert!(parse("population = 4\ngenerations = 1\n").is_ok());
+    }
+
+    /// Valid documents that together hold every key of every table.
+    const EVERY_KEY: [&str; 6] = [
+        r#"
+name = "kernel"
+seed = 7
+scale = "smoke"
+objectives = "time-ber"
+[arch]
+nodes = 16
+wavelengths = 8
+[workload]
+kind = "kernel"
+kernel = "fork-join"
+stages = 3
+exec_kcc = 2.5
+volume_kbits = 4.0
+mapping_seed = 5
+[allocator]
+kind = "nsga2"
+population = 40
+generations = 10
+"#,
+        r#"
+name = "synthetic"
+report = "streaming"
+[workload]
+kind = "synthetic"
+pattern = "hotspot"
+hotspots = [0, 3]
+fraction = 0.25
+injection_rate = 0.02
+message_bits = 512.0
+horizon = 4000
+burst_on = 40.0
+burst_off = 160.0
+[allocator]
+kind = "flow-synthesis"
+policy = "proportional"
+max_lanes_per_flow = 4
+spares = 1
+[injection]
+mode = "ecn"
+ecn_threshold = 0.5
+aimd_step = 0.1
+aimd_md_factor = 0.5
+aimd_min_factor = 0.1
+[energy]
+preset = "paper"
+laser_mw = 1.0
+tx_fj_per_bit = 50.0
+rx_fj_per_bit = 50.0
+mr_tuning_mw = 0.1
+clock_ghz = 1.0
+[telemetry]
+window = 256
+per_flow = false
+chrome_trace = "trace.json"
+[engine]
+workers = 2
+[faults]
+seed = 3
+ber = 0.0005
+outage_lanes = [2]
+outage_starts = [800]
+outage_durations = [400]
+mean_up = 1000.0
+mean_down = 100.0
+fault_horizon = 4000
+[transport]
+mode = "gbn"
+window = 8
+nack_delay = 4
+timeout = 64
+max_retries = 3
+[healing]
+policy = "re-pack-relaxed"
+ber_threshold = 0.01
+[service]
+sessions = 10
+arrival_rate = 0.01
+mean_hold = 250.0
+max_demand = 2
+policy = "shared"
+defrag = "threshold"
+defrag_threshold = 0.5
+max_wait = 1000
+trace_demand = 1
+stretch = 2.0
+"#,
+        r#"
+name = "sweep"
+[workload]
+kind = "sweep"
+patterns = ["uniform", "hotspot"]
+hotspots = [0]
+fraction = 0.5
+injection_rates = [0.01, 0.02]
+wavelengths = [4, 8]
+ring_sizes = [16]
+message_bits = 512.0
+horizon = 2000
+[allocator]
+kind = "dynamic"
+policy = "greedy"
+cap = 2
+[injection]
+mode = "credit"
+credit_window = 4
+[faults]
+ber_model = "paper"
+"#,
+        r#"
+name = "trace"
+[workload]
+kind = "trace"
+path = "trace.csv"
+[allocator]
+kind = "striped"
+lanes_per_flow = 2
+[injection]
+mode = "credit-dst"
+[faults]
+ge_p_gb = 0.01
+ge_p_bg = 0.1
+ge_ber_good = 0.0
+ge_ber_bad = 0.001
+[transport]
+mode = "pfc"
+dst_window = 4
+max_retries = 2
+[service]
+defrag = "idle"
+defrag_idle = 100
+"#,
+        r#"
+name = "heuristic"
+[workload]
+kind = "paper-app"
+[allocator]
+kind = "heuristic"
+name = "first-fit"
+"#,
+        r#"
+name = "counts"
+[workload]
+kind = "paper-app"
+[allocator]
+kind = "counts"
+counts = [1, 1, 1, 1, 1, 1]
+"#,
+    ];
+
+    /// The keys a spec cannot do without, in the documents that hold them.
+    const REQUIRED: [&str; 25] = [
+        "name",
+        "workload",
+        "allocator",
+        "workload.kind",
+        "workload.path",
+        "workload.kernel",
+        "workload.stages",
+        "workload.exec_kcc",
+        "workload.volume_kbits",
+        "workload.pattern",
+        "workload.hotspots",
+        "workload.fraction",
+        "workload.injection_rate",
+        "workload.message_bits",
+        "workload.horizon",
+        "workload.patterns",
+        "workload.injection_rates",
+        "workload.wavelengths",
+        "workload.ring_sizes",
+        "allocator.kind",
+        "allocator.name",
+        "allocator.counts",
+        "allocator.cap",
+        "injection.mode",
+        "transport.mode",
+    ];
+
+    /// Every key of `doc` by its dotted path: the root keys and the keys
+    /// of each root table.
+    fn dotted_paths(doc: &Value) -> Vec<(String, Value)> {
+        let mut paths = Vec::new();
+        for (key, value) in doc.as_table().unwrap() {
+            paths.push((key.clone(), value.clone()));
+            if let Value::Table(table) = value {
+                for (sub, v) in table {
+                    paths.push((format!("{key}.{sub}"), v.clone()));
+                }
+            }
+        }
+        paths
+    }
+
+    /// `doc` with the key at `path` set to `value`, or removed for `None`.
+    fn edited(doc: &Value, path: &str, value: Option<Value>) -> Value {
+        let mut doc = doc.clone();
+        let Value::Table(root) = &mut doc else {
+            unreachable!("documents are tables")
+        };
+        let (table, key) = match path.split_once('.') {
+            None => (root, path),
+            Some((section, key)) => {
+                let Some(Value::Table(sub)) = root.get_mut(section) else {
+                    unreachable!("{section} is a table")
+                };
+                (sub, key)
+            }
+        };
+        match value {
+            Some(value) => table.insert(key.to_string(), value),
+            None => table.remove(key),
+        };
+        doc
+    }
+
+    /// Values of the wrong type for a key that holds `value`.
+    fn wrongly_typed(value: &Value) -> Vec<Value> {
+        let mut wrong = vec![match value {
+            Value::Bool(_) => Value::Str("yes".into()),
+            _ => Value::Bool(true),
+        }];
+        match value {
+            // The document's integers are signed; every spec integer is not.
+            Value::Int(_) => wrong.push(Value::Int(-3)),
+            Value::Array(items) => {
+                wrong.push(Value::Array(vec![Value::Bool(true)]));
+                if let Some(Value::Int(_)) = items.first() {
+                    wrong.push(Value::Array(vec![Value::Int(-3)]));
+                }
+            }
+            _ => {}
+        }
+        wrong
+    }
+
+    #[test]
+    fn every_key_reports_its_dotted_path() {
+        let mut wrong_paths = Vec::new();
+        let mut required_seen = Vec::new();
+        for text in EVERY_KEY {
+            let doc = Value::parse_toml(text).unwrap();
+            ScenarioSpec::from_value(&doc).expect("the base documents are valid");
+            for (path, value) in dotted_paths(&doc) {
+                for wrong in wrongly_typed(&value) {
+                    let got = ScenarioSpec::from_value(&edited(&doc, &path, Some(wrong.clone())));
+                    if !matches!(&got, Err(SpecError::Invalid { field, .. }) if *field == path) {
+                        wrong_paths.push(format!("{path} = {wrong:?} gave {:?}", got.err()));
+                    }
+                }
+                let without = ScenarioSpec::from_value(&edited(&doc, &path, None));
+                if REQUIRED.contains(&path.as_str()) {
+                    required_seen.push(path.clone());
+                    if !matches!(&without, Err(SpecError::Missing { field }) if *field == path) {
+                        wrong_paths.push(format!("removing {path} gave {:?}", without.err()));
+                    }
+                } else if matches!(without, Err(SpecError::Missing { .. })) {
+                    // An optional key may leave a partner incomplete
+                    // (`burst_on` without `burst_off`), but it is never
+                    // reported missing.
+                    wrong_paths.push(format!("removing optional {path} gave {:?}", without.err()));
+                }
+            }
+        }
+        assert!(wrong_paths.is_empty(), "{}", wrong_paths.join("\n"));
+        for path in REQUIRED {
+            assert!(
+                required_seen.iter().any(|seen| seen == path),
+                "no base document holds {path}"
+            );
+        }
+    }
+
+    #[test]
+    fn seeds_past_i64_are_refused_before_they_reach_the_document() {
+        let refused = |builder: ScenarioSpecBuilder| match builder.build() {
+            Err(SpecError::Invalid { field, .. }) => field,
+            other => panic!("a seed past i64::MAX gave {other:?}"),
+        };
+        assert_eq!(refused(ScenarioSpec::builder("s").seed(1 << 63)), "seed");
+        let faults = ScenarioSpec::builder("s")
+            .workload(synthetic_uniform())
+            .allocator(AllocatorSpec::Dynamic {
+                policy: DynamicPolicy::Single,
+            })
+            .faults(FaultSpec {
+                seed: Some(u64::MAX),
+                ..FaultSpec::default()
+            });
+        assert_eq!(refused(faults), "faults.seed");
+        let kernel = ScenarioSpec::builder("s").workload(WorkloadSpec::Kernel {
+            kind: KernelKind::Pipeline,
+            stages: 3,
+            exec_kcc: 1.0,
+            volume_kbits: 1.0,
+            mapping_seed: u64::MAX,
+        });
+        assert_eq!(refused(kernel), "workload.mapping_seed");
+        // The largest seed a document holds round-trips.
+        let spec = ScenarioSpec::builder("seed")
+            .seed(i64::MAX.unsigned_abs())
+            .build()
+            .unwrap();
+        assert_eq!(ScenarioSpec::from_toml_str(&spec.to_toml()).unwrap(), spec);
     }
 }
